@@ -23,7 +23,9 @@ join); the binary operator remains the fully-featured one.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple as PyTuple
+from itertools import product
+from operator import itemgetter
+from typing import Any, Callable, List, Optional, Sequence, Tuple as PyTuple
 
 from repro.core.config import INDEX_EAGER, PROPAGATE_OFF, PJoinConfig
 from repro.core.monitor import Monitor
@@ -125,7 +127,7 @@ class NaryPJoin(Operator):
         # captured references stay live across static rebuilds.
         self.planner_spec = planner
         self.probe_orders: List[PyTuple[int, ...]] = [()] * n
-        self._probe_pos: List[dict] = [{} for _ in range(n)]
+        self._emit_perm: List[Any] = [None] * n
         self.purge_order: PyTuple[int, ...] = tuple(range(n))
         self._stream_order: PyTuple[int, ...] = tuple(range(n))
         initial = tuple(range(n))
@@ -163,9 +165,12 @@ class NaryPJoin(Operator):
         for side in range(self.n_inputs):
             probe = tuple(o for o in order if o != side)
             self.probe_orders[side] = probe
-            self._probe_pos[side] = {
-                stream: pos for pos, stream in enumerate(probe)
-            }
+            # A combination holds the new tuple's values, then one match
+            # per stream in probe order; this picks them in stream order.
+            slot = {stream: pos for pos, stream in enumerate((side,) + probe)}
+            self._emit_perm[side] = itemgetter(
+                *(slot[stream] for stream in range(self.n_inputs))
+            )
 
     # ------------------------------------------------------------------
     # Fast-path specialization (see repro.operators.fastpath)
@@ -222,7 +227,7 @@ class NaryPJoin(Operator):
                 return cost  # pragma: no cover - strict admit raises
             side_tuples_in[side] += 1
             value_hash = stable_hash(value)
-            match_lists: List[List[Tuple]] = []
+            match_lists: List[List[PyTuple[Any, ...]]] = []
             complete = True
             for other in probe_orders[side]:
                 occupancy, matches = sides[other].probe(value, value_hash)
@@ -234,7 +239,7 @@ class NaryPJoin(Operator):
                     break
                 side_probe_hits[other] += 1
                 side_match_count[other] += len(matches)
-                match_lists.append([entry.tup for entry in matches])
+                match_lists.append([entry.tup.values for entry in matches])
             if complete:
                 cost += self._emit_combinations(tup, side, match_lists)
             dropped = False
@@ -275,19 +280,21 @@ class NaryPJoin(Operator):
         """Contract violations seen (counter-compatible alias)."""
         return self.validator.violations
 
-    def _covered_by_others(self, side: int):
+    def _covered_by_others(self, side: int) -> Callable[[Any], bool]:
         """The n-ary purge probe: all *other* streams' punctuations cover.
 
-        Drives the punctuation-aware eviction policy with the same rule
-        :meth:`_purge_all` applies, so the policy prefers exactly the
-        tuples the next purge run would reclaim.
+        :meth:`_purge_all` applies it, and it drives the
+        punctuation-aware eviction policy, so the policy prefers exactly
+        the tuples the next purge run would reclaim.
         """
-        stores = [
-            self.sides[s].store for s in range(self.n_inputs) if s != side
+        covers_by_stream = [
+            self.sides[s].store.covers_value
+            for s in range(self.n_inputs)
+            if s != side
         ]
 
         def covered(value: Any) -> bool:
-            return all(store.covers_value(value) for store in stores)
+            return all(covers(value) for covers in covers_by_stream)
 
         return covered
 
@@ -327,7 +334,7 @@ class NaryPJoin(Operator):
         governor = self.governor
         # Probe every other state in plan order; a result needs a match
         # from each, so the first empty probe ends the pipeline.
-        match_lists: List[List[Tuple]] = []
+        match_lists: List[List[PyTuple[Any, ...]]] = []
         complete = True
         for other in self.probe_orders[side]:
             if governor is not None:
@@ -341,7 +348,7 @@ class NaryPJoin(Operator):
                 break
             self.side_probe_hits[other] += 1
             self.side_match_count[other] += len(matches)
-            match_lists.append([entry.tup for entry in matches])
+            match_lists.append([entry.tup.values for entry in matches])
         if complete:
             cost += self._emit_combinations(tup, side, match_lists)
         # On-the-fly drop: covered by all other streams' punctuations.
@@ -363,31 +370,28 @@ class NaryPJoin(Operator):
         return cost
 
     def _emit_combinations(
-        self, tup: Tuple, side: int, match_lists: List[List[Tuple]]
+        self, tup: Tuple, side: int, match_lists: List[List[PyTuple[Any, ...]]]
     ) -> float:
         """Emit the cross product of per-stream matches with *tup*.
 
-        *match_lists* holds matches for the other streams in this
-        side's **probe order**; the result column order is always
-        stream order with *tup* slotted into its own position, so the
-        output is identical under every plan.
+        *match_lists* holds the matches' values tuples for the other
+        streams in this side's **probe order**, and results come out in
+        that nesting order (the first probe stream outermost).  The
+        result column order is always stream order with *tup* slotted
+        into its own position, so the output is identical under every
+        plan.
         """
-        combos: List[PyTuple[Tuple, ...]] = [()]
-        for matches in match_lists:
-            combos = [combo + (m,) for combo in combos for m in matches]
-        emitted = 0
-        pos = self._probe_pos[side]
-        for combo in combos:
-            values: PyTuple[Any, ...] = ()
-            for stream in range(self.n_inputs):
-                source = tup if stream == side else combo[pos[stream]]
-                values = values + source.values
-            self.emit(
-                Tuple(self.out_schema, values, ts=self.engine.now, validate=False)
-            )
-            emitted += 1
-        self.results_produced += emitted
-        return self.cost_model.emit_result * emitted
+        out_schema = self.out_schema
+        now = self.engine.now
+        fresh = Tuple.fresh
+        in_stream_order = self._emit_perm[side]
+        results = [
+            fresh(out_schema, sum(in_stream_order(combo), ()), now)
+            for combo in product((tup.values,), *match_lists)
+        ]
+        self._outbox.extend(results)
+        self.results_produced += len(results)
+        return self.cost_model.emit_result * len(results)
 
     def _handle_punctuation(self, punct: Punctuation, side: int) -> float:
         cost = self.cost_model.punct_overhead
@@ -426,20 +430,17 @@ class NaryPJoin(Operator):
         scanned = 0
         removed_total = 0
         for side in self.purge_order:
-            others = [s for s in range(self.n_inputs) if s != side]
-            if any(len(self.sides[s].store) == 0 for s in others):
-                scanned += self.sides[side].memory_size
+            victim = self.sides[side]
+            scanned += victim.memory_size
+            if any(
+                len(self.sides[s].store) == 0
+                for s in range(self.n_inputs)
+                if s != side
+            ):
                 continue
-            scanned += self.sides[side].memory_size
-
-            def covered_by_all(entry) -> bool:
-                return all(
-                    self.sides[s].covers(entry.join_value) for s in others
-                )
-
-            removed = self.sides[side].table.remove_where(covered_by_all)
+            removed = victim.table.remove_where(self._covered_by_others(side))
             for entry in removed:
-                self.sides[side].discard_entry(entry)
+                victim.discard_entry(entry)
             removed_total += len(removed)
         self.purge_runs += 1
         self.tuples_purged += removed_total

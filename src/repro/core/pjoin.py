@@ -662,9 +662,7 @@ class PJoin(BinaryHashJoin):
         for side in (0, 1):
             covers = sides[self.other(side)].store.covers_value
             for partition in sides[side].table.partitions_with_disk():
-                removed = partition.remove_disk_where(
-                    lambda entry: covers(entry.join_value)
-                )
+                removed = partition.remove_disk_where(covers)
                 for entry in removed:
                     sides[side].discard_entry(entry)
                 self.tuples_purged += len(removed)

@@ -19,8 +19,6 @@ just to throw them away would waste I/O).
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.core.state import JoinStateSide
 
 
@@ -61,30 +59,15 @@ def purge_side(
     Applying the full punctuation set (rather than only punctuations
     newer than the last run) keeps the run correct even when on-the-fly
     dropping is disabled and already-covered tuples were allowed into
-    the state (the A4 ablation).
+    the state (the A4 ablation).  Coverage is decided once per distinct
+    join value, not per entry; the cost model still charges for the
+    full scan.  Governor-demoted cold entries count as memory-resident,
+    so a run reclaims covered ones even when the warm portion is empty.
     """
     scanned = victim.memory_size
-    if scanned == 0 or len(opposite.store) == 0:
+    if len(opposite.store) == 0 or (scanned == 0 and victim.table.cold_count == 0):
         return PurgeResult(scanned=scanned)
-    covers = opposite.store.covers_value
-    # The punctuation store does not change during one run, so the
-    # coverage verdict is memoized per distinct join value — states
-    # hold many tuples per value, and the per-entry pattern-match is
-    # the purge scan's hot spot.  (The virtual cost model still charges
-    # for the full scan; this only cuts wall time.)
-    verdicts: dict = {}
-
-    def is_covered(entry: Any) -> bool:
-        value = entry.join_value
-        try:
-            verdict = verdicts.get(value)
-        except TypeError:  # unhashable join value: no memoization
-            return covers(value)
-        if verdict is None:
-            verdict = verdicts[value] = covers(value)
-        return verdict
-
-    removed = victim.table.remove_where(is_covered)
+    removed = victim.table.remove_where(opposite.store.covers_value)
     discarded = 0
     buffered = 0
     for entry in removed:

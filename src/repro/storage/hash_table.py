@@ -138,22 +138,21 @@ class PartitionedHashTable:
         self.memory_count -= len(removed)
         return removed
 
-    def remove_where(
-        self, predicate: Callable[[StateEntry], bool]
-    ) -> List[StateEntry]:
-        """Drop and return memory entries satisfying *predicate*.
+    def remove_where(self, covered: Callable[[Any], bool]) -> List[StateEntry]:
+        """Drop and return the entries whose join value *covered* accepts.
 
-        Governor-demoted cold entries are swept too: they are logically
-        memory-resident, so a purge that covers them reclaims them
-        without ever faulting them back in.
+        *covered* is called once per distinct join value of each
+        bucket's memory portion.  Governor-demoted cold entries are
+        swept too: they are logically memory-resident, so a purge that
+        covers them reclaims them without ever faulting them back in.
         """
         removed: List[StateEntry] = []
         for partition in self.partitions:
-            from_memory = partition.remove_memory_where(predicate)
+            from_memory = partition.remove_memory_where(covered)
             self.memory_count -= len(from_memory)
             removed.extend(from_memory)
             if partition.cold:
-                removed.extend(partition.remove_cold_where(predicate))
+                removed.extend(partition.remove_cold_where(covered))
         return removed
 
     # ------------------------------------------------------------------

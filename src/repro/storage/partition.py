@@ -29,11 +29,27 @@ intervals are concerned, they are merely paged out and faulted back
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple as PyTuple
 
 from repro.tuples.tuple import Tuple
 
 INFINITY = math.inf
+
+
+def _split_by_value(
+    entries: List["StateEntry"], covered: Callable[[Any], bool]
+) -> PyTuple[List["StateEntry"], List["StateEntry"]]:
+    """``(removed, kept)`` in entry order, one ``covered`` call per value."""
+    verdicts: Dict[Any, bool] = {}
+    removed: List[StateEntry] = []
+    kept: List[StateEntry] = []
+    for entry in entries:
+        value = entry.join_value
+        verdict = verdicts.get(value)
+        if verdict is None:
+            verdict = verdicts[value] = covered(value)
+        (removed if verdict else kept).append(entry)
+    return removed, (kept if removed else entries)
 
 
 class StateEntry:
@@ -129,23 +145,16 @@ class HybridPartition:
         self.memory_count -= len(entries)
         return entries
 
-    def remove_memory_where(
-        self, predicate: Callable[[StateEntry], bool]
-    ) -> List[StateEntry]:
-        """Drop and return memory entries satisfying *predicate*."""
+    def remove_memory_where(self, covered: Callable[[Any], bool]) -> List[StateEntry]:
+        """Drop and return the entries of every join value *covered* accepts.
+
+        One ``covered`` call per distinct value; a covered value's whole
+        list goes, in dict order, and kept lists stay where they are.
+        """
+        memory = self.memory
         removed: List[StateEntry] = []
-        for value in list(self.memory):
-            entries = self.memory[value]
-            keep = []
-            for entry in entries:
-                if predicate(entry):
-                    removed.append(entry)
-                else:
-                    keep.append(entry)
-            if keep:
-                self.memory[value] = keep
-            else:
-                del self.memory[value]
+        for value in [value for value in memory if covered(value)]:
+            removed.extend(memory.pop(value))
         self.memory_count -= len(removed)
         return removed
 
@@ -192,13 +201,9 @@ class HybridPartition:
     def iter_cold(self) -> Iterator[StateEntry]:
         return iter(self.cold)
 
-    def remove_cold_where(
-        self, predicate: Callable[[StateEntry], bool]
-    ) -> List[StateEntry]:
-        """Drop and return cold entries satisfying *predicate*."""
-        removed = [e for e in self.cold if predicate(e)]
-        if removed:
-            self.cold = [e for e in self.cold if not predicate(e)]
+    def remove_cold_where(self, covered: Callable[[Any], bool]) -> List[StateEntry]:
+        """Drop and return cold entries whose join value *covered* accepts."""
+        removed, self.cold = _split_by_value(self.cold, covered)
         return removed
 
     # ------------------------------------------------------------------
@@ -238,13 +243,9 @@ class HybridPartition:
     def iter_disk(self) -> Iterator[StateEntry]:
         return iter(self.disk)
 
-    def remove_disk_where(
-        self, predicate: Callable[[StateEntry], bool]
-    ) -> List[StateEntry]:
-        """Drop and return disk entries satisfying *predicate*."""
-        removed = [e for e in self.disk if predicate(e)]
-        if removed:
-            self.disk = [e for e in self.disk if not predicate(e)]
+    def remove_disk_where(self, covered: Callable[[Any], bool]) -> List[StateEntry]:
+        """Drop and return disk entries whose join value *covered* accepts."""
+        removed, self.disk = _split_by_value(self.disk, covered)
         return removed
 
     def record_probe(self, now: float) -> None:

@@ -64,6 +64,20 @@ class TestPurgeRules:
         result = purge_side(side_a, side_b, now=10.0)
         assert result.removed == 0
 
+    def test_reclaims_covered_cold_entries_with_empty_warm_portion(self, sides):
+        # Governor demotion pages every bucket out: nothing is warm, but
+        # the cold entries are logically memory-resident and covered.
+        side_a, side_b = sides
+        fill(side_a, SCHEMA_A, 1, 2, 1, 3)
+        for partition in side_a.table.partitions:
+            side_a.table.demote_partition(partition)
+        assert side_a.memory_size == 0
+        side_b.add_punctuation(Punctuation.on_field(SCHEMA_B, "key", 1))
+        result = purge_side(side_a, side_b, now=10.0)
+        assert result.scanned == 0
+        assert result.discarded == 2
+        assert sorted(e.join_value for e in side_a.table.iter_cold()) == [2, 3]
+
 
 class TestPurgeBufferInteraction:
     def test_covered_tuple_moves_to_buffer_when_opposite_has_disk(self, sides):

@@ -60,8 +60,12 @@ class TestPartitionedHashTable:
         table = PartitionedHashTable(4)
         for key in range(8):
             table.insert(tup(key), key, ats=float(key))
-        removed = table.remove_where(lambda e: e.join_value % 2 == 0)
-        assert len(removed) == 4
+        asked = []
+        removed = table.remove_where(
+            lambda value: asked.append(value) or value % 2 == 0
+        )
+        assert sorted(asked) == list(range(8))  # once per distinct value
+        assert sorted(e.join_value for e in removed) == [0, 2, 4, 6]
         assert table.memory_count == 4
 
     def test_largest_memory_partition(self):

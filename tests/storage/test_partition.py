@@ -55,12 +55,19 @@ class TestHybridPartition:
 
     def test_remove_memory_where(self):
         part = HybridPartition(0)
-        part.insert(entry(1, ts=1.0))
-        part.insert(entry(1, ts=5.0))
-        removed = part.remove_memory_where(lambda e: e.ats < 2.0)
-        assert len(removed) == 1
+        a1, b, a2, c = entry(1, ts=1.0), entry(2), entry(1, ts=5.0), entry(3)
+        for e in (a1, b, a2, c):
+            part.insert(e)
+        kept = part.probe_memory(2)
+        asked = []
+        removed = part.remove_memory_where(
+            lambda value: asked.append(value) or value != 2
+        )
+        assert asked == [1, 2, 3]  # once per distinct value, dict order
+        assert removed == [a1, a2, c]  # a covered value's whole list
         assert part.memory_count == 1
-        assert len(part.probe_memory(1)) == 1
+        assert list(part.memory) == [2]
+        assert part.probe_memory(2) is kept  # kept lists stay in place
 
     def test_spill_moves_everything_and_stamps_dts(self):
         part = HybridPartition(0)
@@ -83,9 +90,15 @@ class TestHybridPartition:
         part.insert(entry(1))
         part.insert(entry(2))
         part.spill(now=1.0)
-        removed = part.remove_disk_where(lambda e: e.join_value == 1)
-        assert len(removed) == 1
-        assert part.disk_count == 1
+        part.insert(entry(1))
+        part.spill(now=2.0)
+        asked = []
+        removed = part.remove_disk_where(
+            lambda value: asked.append(value) or value == 1
+        )
+        assert asked == [1, 2]  # once per distinct value
+        assert [e.join_value for e in removed] == [1, 1]
+        assert [e.join_value for e in part.iter_disk()] == [2]
 
     def test_probe_history_records(self):
         part = HybridPartition(0)
