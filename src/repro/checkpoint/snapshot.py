@@ -40,6 +40,7 @@ from typing import Any, Dict, List, Tuple as PyTuple
 
 from repro.core.index import PunctuationIndex
 from repro.core.state import JoinStateSide
+from repro.errors import ConfigError
 from repro.perf.interval import RangeIntervalIndex
 from repro.punctuations.store import PunctuationStore
 from repro.resilience.disorder import DisorderBuffer
@@ -131,6 +132,9 @@ def snapshot_table(table: PartitionedHashTable) -> Dict[str, Any]:
 
 def restore_table_into(table: PartitionedHashTable, snap: Dict[str, Any]) -> None:
     n = snap["n_partitions"]
+    leaves = len(snap["partitions"])
+    if leaves != n:  # a split adaptive table: refuse, never truncate
+        raise ConfigError(f"cannot restore {leaves} leaves into {n} buckets")
     table.n_partitions = n
     table.partitions = [HybridPartition(i) for i in range(n)]
     for part, psnap in zip(table.partitions, snap["partitions"]):

@@ -38,7 +38,7 @@ from repro.core.propagation import run_propagation
 from repro.core.purge import PurgeResult, purge_side
 from repro.core.registry import EventListenerRegistry, default_registry_for
 from repro.core.state import JoinStateSide
-from repro.errors import OperatorError
+from repro.errors import ConfigError, OperatorError
 from repro.memory.budget import GovernorSpec
 from repro.obs.trace import get_tracer
 from repro.operators import fastpath
@@ -871,6 +871,8 @@ class PJoin(BinaryHashJoin):
         """
         from repro.checkpoint import snapshot as snaplib
 
+        if self.skew is not None:  # split buckets and the sketch are not kept
+            raise ConfigError(f"{self.name}: cannot checkpoint the skew layer")
         return {
             "version": snaplib.SNAPSHOT_VERSION,
             "kind": "pjoin",
@@ -896,6 +898,8 @@ class PJoin(BinaryHashJoin):
         """
         from repro.checkpoint import snapshot as snaplib
 
+        if self.skew is not None:
+            raise ConfigError(f"{self.name}: cannot checkpoint the skew layer")
         for side, side_snap in zip(self.sides, snap["sides"]):
             snaplib.restore_side_into(side, side_snap)
         snaplib.restore_attrs(self.monitor, snap["monitor"])

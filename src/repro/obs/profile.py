@@ -195,9 +195,9 @@ class Profiler:
         if shards is not None and router is not None and merger is not None:
             name = getattr(join, "name", "join")
             self._shadow(router, "push", f"{name}.router", "shard")
-            self._shadow(merger, "handle", f"{name}.merge", "shard")
-            if hasattr(merger, "on_finish"):
-                self._shadow(merger, "on_finish", f"{name}.merge", "shard")
+            for attr in ("handle", "accept_batch", "on_finish"):
+                if hasattr(merger, attr):
+                    self._shadow(merger, attr, f"{name}.merge", "shard")
             for shard in shards:
                 self.instrument_operator(shard)
         else:

@@ -37,10 +37,10 @@ from repro.tuples.tuple import Tuple
 class Operator:
     """Base class: a single-server operator with N input ports."""
 
-    #: Operators that can take a whole outbox in one call (the sink)
-    #: set this and implement :meth:`accept_batch`; ``_deliver`` then
-    #: skips the per-item push/queue/pump cycle while keeping every
-    #: counter and timestamp byte-identical to item-at-a-time delivery.
+    #: Zero-cost operators that take a whole outbox in one call (the
+    #: sink, the shard merger) set this and implement :meth:`accept_batch`;
+    #: ``_deliver`` then skips the per-item push/queue/pump cycle while
+    #: keeping every counter and timestamp byte-identical to per-item delivery.
     _accepts_batches = False
 
     def __init__(
@@ -193,7 +193,7 @@ class Operator:
             and not downstream._queue
             and not downstream._finished
         ):
-            n_tuples, n_puncts = downstream.accept_batch(outbox, now)
+            n_tuples, n_puncts = downstream.accept_batch(outbox, now, port)
             self.tuples_out += n_tuples
             self.punctuations_out += n_puncts
             return
@@ -242,8 +242,10 @@ class Operator:
         """Process one input item; return its virtual cost (ms)."""
         raise NotImplementedError
 
-    def accept_batch(self, items: List[Any], now: float) -> PyTuple[int, int]:
-        """Take a whole upstream outbox at *now*; return (tuples, puncts).
+    def accept_batch(
+        self, items: List[Any], now: float, port: int
+    ) -> PyTuple[int, int]:
+        """Take a whole upstream outbox on *port* at *now*; return (tuples, puncts).
 
         Only called when :attr:`_accepts_batches` is set.  Must update
         the same counters the per-item path would.

@@ -61,8 +61,10 @@ class Sink(Operator):
                 self.punctuations.append(item)
         return 0.0
 
-    def accept_batch(self, items: List[Any], now: float) -> PyTuple[int, int]:
-        """Absorb a whole upstream outbox in one call.
+    def accept_batch(
+        self, items: List[Any], now: float, port: int
+    ) -> PyTuple[int, int]:
+        """Absorb a whole upstream outbox in one call (*port* is always 0).
 
         Emulates exactly what *len(items)* individual ``push`` calls
         would do — handling is zero-cost, so each push would drain

@@ -119,6 +119,8 @@ class AlignedMerger(Operator):
         unsharded operator's propagation shape.
     """
 
+    _accepts_batches = True
+
     def __init__(
         self,
         engine: SimulationEngine,
@@ -139,14 +141,42 @@ class AlignedMerger(Operator):
         self.punctuations_unaligned = 0
 
     def handle(self, item: Any, port: int) -> float:
+        """One pushed item; shard outboxes arrive through accept_batch."""
         if isinstance(item, Tuple):
             self.tuples_merged += 1
             self.emit(item)
-            return 0.0
-        if isinstance(item, Punctuation):
+        elif isinstance(item, Punctuation):
             self._align(item, port)
-            return 0.0
         return 0.0
+
+    def accept_batch(
+        self, items: List[Any], now: float, port: int
+    ) -> PyTuple[int, int]:
+        """Merge shard *port*'s outbox as one ``push`` per item would.
+
+        Tuples pass through (the downstream delivery restamps them);
+        punctuations are restamped to *now* and aligned in place, so a
+        merged punctuation never overtakes an earlier result.
+        """
+        outbox = self._outbox
+        n_tuples = n_puncts = 0
+        for item in items:
+            if isinstance(item, Tuple):
+                n_tuples += 1
+                outbox.append(item)
+            elif isinstance(item, Punctuation):
+                n_puncts += 1
+                self._align(item if item.ts == now else item.with_ts(now), port)
+        self.tuples_in += n_tuples
+        self.tuples_merged += n_tuples
+        self.punctuations_in += n_puncts
+        self.items_processed += len(items)
+        if items and self.max_queue_length < 1:
+            self.max_queue_length = 1
+        if outbox:
+            self._outbox = []
+            self._deliver(outbox)
+        return n_tuples, n_puncts
 
     def _align(self, punct: Punctuation, shard: int) -> None:
         pattern = punct.patterns[self.out_join_index]

@@ -9,17 +9,25 @@ yields an equal dict — holds with and without governor activity
 (cold-tier demoted buckets, disk-resident spilled entries).
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.checkpoint.snapshot import (
     restore_side,
     restore_store_into,
+    restore_table_into,
     snapshot_side,
     snapshot_store,
+    snapshot_table,
 )
+from repro.core.pjoin import PJoin
 from repro.core.state import JoinStateSide
+from repro.errors import ConfigError
 from repro.punctuations.punctuation import Punctuation
 from repro.punctuations.store import PunctuationStore
+from repro.query.plan import QueryPlan
+from repro.skew.manager import SkewSpec
+from repro.skew.partitioner import AdaptiveTable
 from repro.storage.partition import INFINITY
 from repro.tuples.schema import Schema
 from repro.tuples.tuple import Tuple
@@ -148,3 +156,51 @@ def test_side_roundtrip_preserves_purge_buffer():
     restored = restore_side(SCHEMA, "key", snap)
     assert snapshot_side(restored) == snap
     assert len(restored.purge_buffer) == len(side.purge_buffer)
+
+
+# ---------------------------------------------------------------------------
+# Skew layer: refused, never silently lossy
+# ---------------------------------------------------------------------------
+
+
+def test_split_adaptive_table_restore_is_refused():
+    # A split bucket has more leaves than base buckets.  The plain
+    # rebuild kept 28 of these 64 entries and lost key 13 entirely.
+    table = AdaptiveTable(4)
+    for key in range(64):
+        table.insert(make_tuple(key, float(key)), key, ats=float(key))
+    table.set_depth(1, 2)
+    snap = snapshot_table(table)
+    assert len(snap["partitions"]) == 7
+
+    fresh = AdaptiveTable(4)
+    before = snapshot_table(fresh)
+    with pytest.raises(ConfigError, match="7 leaves into 4 buckets"):
+        restore_table_into(fresh, snap)
+    assert snapshot_table(fresh) == before  # refused before any change
+
+
+def test_unsplit_adaptive_table_still_round_trips():
+    table = AdaptiveTable(4)
+    for key in range(16):
+        table.insert(make_tuple(key, float(key)), key, ats=float(key))
+    snap = snapshot_table(table)
+    fresh = AdaptiveTable(4)
+    restore_table_into(fresh, snap)
+    assert snapshot_table(fresh) == snap
+    assert len(fresh.probe(13)[1]) == 1
+
+
+def test_pjoin_with_skew_layer_refuses_checkpoints():
+    other = Schema.of("key", "payload", name="T")
+    plan = QueryPlan()
+    plain = PJoin(plan.engine, plan.cost_model, SCHEMA, other, "key", "key")
+    snap = plain.snapshot_state()
+    skewed = PJoin(
+        plan.engine, plan.cost_model, SCHEMA, other, "key", "key",
+        name="skewed", skew=SkewSpec(),
+    )
+    with pytest.raises(ConfigError, match="skew layer"):
+        skewed.snapshot_state()
+    with pytest.raises(ConfigError, match="skew layer"):
+        skewed.restore_state(snap)

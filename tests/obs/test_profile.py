@@ -129,8 +129,8 @@ class TestInstrumentAndRestore:
         with contextlib.ExitStack() as stack:
             if features.get("obs"):
                 stack.enter_context(tracing(Tracer()))
-            if features.get("shard"):
-                stack.enter_context(sharding(1))
+            if features.get("shards"):
+                stack.enter_context(sharding(features["shards"]))
             profiler = stack.enter_context(profiling())
             run = run_join_experiment(factory, workload, label="profiled")
         return run, profiler
@@ -153,10 +153,20 @@ class TestInstrumentAndRestore:
 
     def test_shard_layer_attributed_under_sharding(self):
         factory = pjoin_factory(PJoinConfig(purge_threshold=1))
-        _, profiler = self.run_once(factory, small_workload(), shard=True)
-        layers = profiler.snapshot()["layers"]
+        _, profiler = self.run_once(factory, small_workload(), shards=2)
+        snapshot = profiler.snapshot()
+        layers = snapshot["layers"]
         assert layers["shard"]["calls"] > 0
         assert layers["core"]["calls"] > 0
+        # The merger takes shard outboxes through accept_batch; its time
+        # must stay in the shard layer.  on_finish is one call, so more
+        # than one means the outboxes were attributed too.
+        merge_calls = sum(
+            site["calls"]
+            for site in snapshot["sites"]
+            if site["source"] == "pjoin.merge" and site["layer"] == "shard"
+        )
+        assert merge_calls > 1
 
     @pytest.mark.parametrize("factory", [xjoin_factory(), shj_factory()],
                              ids=["xjoin", "shj"])

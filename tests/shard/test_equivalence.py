@@ -21,6 +21,7 @@ from repro.experiments.harness import (
     sharding,
     xjoin_factory,
 )
+from repro.shard.merger import AlignedMerger
 from repro.workloads.generator import generate_workload
 
 # Counters that must sum across shards to the unsharded values on
@@ -124,6 +125,38 @@ class TestMultiShardEquivalence:
             == base.join.counters()["tuples_purged"]
         )
         assert shard.sink.result_multiset() == base.sink.result_multiset()
+
+
+class TestBatchedMergeDelivery:
+    """The merger's one-call outbox path against per-item delivery."""
+
+    @pytest.mark.parametrize("keep_items", [True, False])
+    @pytest.mark.parametrize("mode", ["push_pairs", "push_count"])
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_manifest_and_items_identical(
+        self, workload, k, mode, keep_items, monkeypatch
+    ):
+        config = PJoinConfig(purge_threshold=1, propagation_mode=mode)
+
+        def run():
+            with sharding(k):
+                result = run_join_experiment(
+                    pjoin_factory(config), workload, label=f"k{k}",
+                    keep_items=keep_items,
+                )
+            sink = result.sink
+            return result, (
+                signature(result),
+                sink.tuple_arrival_times,
+                sink.punctuation_arrival_times,
+            )
+
+        batched, batched_items = run()
+        monkeypatch.setattr(AlignedMerger, "_accepts_batches", False)
+        per_item, per_item_items = run()
+        assert batched.join.merger.punctuations_merged > 0
+        assert batched.manifest == per_item.manifest
+        assert batched_items == per_item_items
 
 
 class TestOtherJoinKinds:
