@@ -216,9 +216,7 @@ def _migrate_states(
                 migrated["tuples"] += 1
                 migrated["disk_tuples"] += 1
                 any_disk = True
-            table.memory_count = sum(
-                part.memory_count for part in table.partitions
-            )
+            table.recount()
             # The quiesce at the cut joined everything.  Its disk join
             # ran on each old shard's *busy tail* — at or after the cut
             # time but no later than that shard's final clock — so the

@@ -95,7 +95,7 @@ def snapshot_partition(part: HybridPartition) -> Dict[str, Any]:
             (value, [snapshot_entry(e) for e in entries])
             for value, entries in part.memory.items()
         ],
-        "cold": [snapshot_entry(e) for e in part.cold],
+        "cold": [snapshot_entry(e) for e in part.iter_cold()],
         "disk": [snapshot_entry(e) for e in part.disk],
         "probe_history": list(part.probe_history),
         "last_insert_ts": part.last_insert_ts,
@@ -104,13 +104,14 @@ def snapshot_partition(part: HybridPartition) -> Dict[str, Any]:
 
 
 def restore_partition_into(part: HybridPartition, snap: Dict[str, Any]) -> None:
-    part.memory = {}
-    part.memory_count = 0
-    for value, entries in snap["memory"]:
-        restored = [restore_entry(e) for e in entries]
-        part.memory[value] = restored
-        part.memory_count += len(restored)
-    part.cold = [restore_entry(e) for e in snap["cold"]]
+    part.memory = {
+        value: [restore_entry(e) for e in entries]
+        for value, entries in snap["memory"]
+    }
+    # One cold run per entry: promotion rebuilds the same lists from
+    # any split of the demotion order into runs.
+    cold = [restore_entry(e) for e in snap["cold"]]
+    part.cold = [(entry.join_value, [entry]) for entry in cold]
     part.disk = [restore_entry(e) for e in snap["disk"]]
     part.probe_history = list(snap["probe_history"])
     part.last_insert_ts = snap["last_insert_ts"]
@@ -139,7 +140,7 @@ def restore_table_into(table: PartitionedHashTable, snap: Dict[str, Any]) -> Non
     table.partitions = [HybridPartition(i) for i in range(n)]
     for part, psnap in zip(table.partitions, snap["partitions"]):
         restore_partition_into(part, psnap)
-    table.memory_count = sum(p.memory_count for p in table.partitions)
+    table.recount()
     table.total_inserted = snap["total_inserted"]
 
 

@@ -112,6 +112,9 @@ class AdaptiveTable(PartitionedHashTable):
         lo = self._offsets[base]
         self.partitions[lo : lo + (1 << old_depth)] = new_leaves
         self._rebuild_offsets()
+        # Only warm entries moved, within this table: its counts stand.
+        # Flat indices did move, so a governor must re-read its buckets.
+        self.rebuilds += 1
         if new_depth > old_depth:
             self.splits += 1
         else:

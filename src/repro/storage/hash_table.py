@@ -63,8 +63,16 @@ class PartitionedHashTable:
             raise StorageError(f"need at least one partition, got {n_partitions}")
         self.n_partitions = n_partitions
         self.partitions = [HybridPartition(i) for i in range(n_partitions)]
+        # Portion sizes summed over the buckets, kept current by every
+        # mutating method so that sizes and state gauges are O(1).
         self.memory_count = 0
+        self.cold_count = 0
+        self.disk_count = 0
         self.total_inserted = 0
+        # Bumped whenever buckets are rebuilt by hand (checkpoint
+        # restore, rescale migration, restructuring): entries may then
+        # sit in buckets the memory governor never saw them enter.
+        self.rebuilds = 0
 
     # ------------------------------------------------------------------
     # Placement
@@ -151,8 +159,18 @@ class PartitionedHashTable:
             from_memory = partition.remove_memory_where(covered)
             self.memory_count -= len(from_memory)
             removed.extend(from_memory)
-            if partition.cold:
-                removed.extend(partition.remove_cold_where(covered))
+            if partition.cold_count:
+                from_cold = partition.remove_cold_where(covered)
+                self.cold_count -= len(from_cold)
+                removed.extend(from_cold)
+        return removed
+
+    def remove_disk_where(
+        self, partition: HybridPartition, covered: Callable[[Any], bool]
+    ) -> List[StateEntry]:
+        """Drop and return one bucket's disk entries *covered* accepts."""
+        removed = partition.remove_disk_where(covered)
+        self.disk_count -= len(removed)
         return removed
 
     # ------------------------------------------------------------------
@@ -170,9 +188,10 @@ class PartitionedHashTable:
         (they are logically memory-resident), so the return value may
         exceed the bucket's warm ``memory_count``.
         """
-        warm = partition.memory_count
+        self.memory_count -= partition.memory_count
+        self.cold_count -= partition.cold_count
         moved = partition.spill(now)
-        self.memory_count -= warm
+        self.disk_count += moved
         return moved
 
     # ------------------------------------------------------------------
@@ -183,25 +202,32 @@ class PartitionedHashTable:
         """Page one bucket's memory portion out to its cold list."""
         moved = partition.demote()
         self.memory_count -= moved
+        self.cold_count += moved
         return moved
 
     def promote_partition(self, partition: HybridPartition) -> int:
-        """Fault one bucket's cold list back into its memory portion."""
+        """Fault one bucket's cold portion back into its memory portion."""
         moved = partition.promote()
         self.memory_count += moved
+        self.cold_count -= moved
         return moved
+
+    def recount(self) -> None:
+        """Recompute every count after buckets were filled by hand.
+
+        Checkpoint restore and rescale migration place entries without
+        the counted methods; they call this once when done.
+        """
+        for partition in self.partitions:
+            partition.recount()
+        self.memory_count = sum(p.memory_count for p in self.partitions)
+        self.cold_count = sum(p.cold_count for p in self.partitions)
+        self.disk_count = sum(p.disk_count for p in self.partitions)
+        self.rebuilds += 1
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    @property
-    def disk_count(self) -> int:
-        return sum(p.disk_count for p in self.partitions)
-
-    @property
-    def cold_count(self) -> int:
-        return sum(p.cold_count for p in self.partitions)
 
     @property
     def total_count(self) -> int:
@@ -226,10 +252,14 @@ class PartitionedHashTable:
 
     def partitions_with_disk(self) -> List[HybridPartition]:
         """Buckets that currently have a non-empty disk portion."""
+        if not self.disk_count:
+            return []
         return [p for p in self.partitions if p.disk_count > 0]
 
     def partitions_with_cold(self) -> List[HybridPartition]:
         """Buckets with governor-demoted (cold) entries."""
+        if not self.cold_count:
+            return []
         return [p for p in self.partitions if p.cold_count > 0]
 
     def __len__(self) -> int:

@@ -138,11 +138,11 @@ def test_side_roundtrip_is_exact(
     assert restored.table.total_inserted == side.table.total_inserted
     for got, want in zip(restored.table.partitions, side.table.partitions):
         assert list(got.memory) == list(want.memory)  # bucket order
-        assert len(got.cold) == len(want.cold)
+        assert got.cold_count == want.cold_count
         assert len(got.disk) == len(want.disk)
         assert got.probe_history == want.probe_history
         # Cold-tier entries stay undeparted; disk entries carry stamps.
-        assert all(entry.dts == INFINITY for entry in got.cold)
+        assert all(entry.dts == INFINITY for entry in got.iter_cold())
         assert all(entry.dts < INFINITY for entry in got.disk)
 
 

@@ -6,10 +6,10 @@ covered value's whole entry list.  This property pins that against a
 reference that asks the predicate about every entry, over random insert
 sequences with some buckets demoted to the cold portion or spilled to
 disk along the way: the removed entries (and their order), the
-surviving per-value lists and dict order, ``memory_count``, the cold
-and disk lists must all agree, kept per-value lists must stay the same
-list objects, and the predicate must run exactly once per distinct
-value per portion.
+surviving per-value lists and dict order, the cold portion's
+``(value, entries)`` runs, the disk lists and every maintained count
+must all agree, kept per-value lists must stay the same list objects,
+and the predicate must run exactly once per distinct value per portion.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -61,14 +61,23 @@ def per_entry_remove(table, covered):
             else:
                 del partition.memory[value]
         partition.memory_count = sum(map(len, partition.memory.values()))
-        cold = [e for e in partition.cold if covered(e.join_value)]
-        partition.cold = [e for e in partition.cold if not covered(e.join_value)]
-        removed.extend(cold)
-    table.memory_count = sum(p.memory_count for p in table.partitions)
+        runs = []
+        for value, entries in partition.cold:
+            keep = []
+            for entry in entries:
+                (removed if covered(entry.join_value) else keep).append(entry)
+            if keep:
+                runs.append((value, keep))
+        partition.cold = runs
+        partition.cold_count = sum(len(entries) for _value, entries in runs)
     disk = []
     for partition in table.partitions:
         disk.extend(e for e in partition.disk if covered(e.join_value))
         partition.disk = [e for e in partition.disk if not covered(e.join_value)]
+        partition.disk_count = len(partition.disk)
+    table.memory_count = sum(p.memory_count for p in table.partitions)
+    table.cold_count = sum(p.cold_count for p in table.partitions)
+    table.disk_count = sum(p.disk_count for p in table.partitions)
     return removed, disk
 
 
@@ -78,12 +87,12 @@ def seqs(entries):
 
 def layout(table):
     return (
-        table.memory_count,
+        (table.memory_count, table.cold_count, table.disk_count),
         [
             (
-                p.memory_count,
+                (p.memory_count, p.cold_count, p.disk_count),
                 [(value, seqs(entries)) for value, entries in p.memory.items()],
-                seqs(p.cold),
+                [(value, seqs(entries)) for value, entries in p.cold],
                 seqs(p.disk),
             )
             for p in table.partitions
@@ -109,8 +118,7 @@ def test_value_removal_matches_per_entry_scan(
     expected_calls = []
     for p in table.partitions:
         expected_calls += list(p.memory)
-        if p.cold:
-            expected_calls += distinct(e.join_value for e in p.cold)
+        expected_calls += distinct(value for value, _entries in p.cold)
     expected_disk_calls = [
         distinct(e.join_value for e in p.disk) for p in table.partitions
     ]
@@ -133,7 +141,7 @@ def test_value_removal_matches_per_entry_scan(
     disk_removed = []
     for p, expected in zip(table.partitions, expected_disk_calls):
         calls.clear()
-        disk_removed += p.remove_disk_where(covered)
+        disk_removed += table.remove_disk_where(p, covered)
         assert calls == expected
 
     want_removed, want_disk = per_entry_remove(
