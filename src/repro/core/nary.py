@@ -367,6 +367,8 @@ class NaryPJoin(Operator):
             cost += self.cost_model.insert
             if governor is not None:
                 cost += governor.after_insert(side, value, value_hash)
+        elif governor is not None:
+            governor.release_pins()
         return cost
 
     def _emit_combinations(

@@ -348,6 +348,8 @@ class XJoin(BinaryHashJoin):
                 self.emit_pair(disk_entry, mem_entry, side)
                 matches += 1
         partition.record_probe(self.engine.now)
+        if self.governor is not None:
+            self.governor.release_pins()
         self.stage2_runs += 1
         cost = (
             governor_cost
@@ -388,6 +390,8 @@ class XJoin(BinaryHashJoin):
             cost += self.disk.read(part_a.disk_count)
             cost += self.disk.read(part_b.disk_count)
             cost += self._cleanup_partition(part_a, part_b)
+        if self.governor is not None:
+            self.governor.release_pins()
         if tracer is not None:
             tracer.end(
                 self.engine.now,

@@ -4,13 +4,23 @@ import math
 
 import pytest
 
+from repro.core.config import PJoinConfig
+from repro.experiments.harness import (
+    governed,
+    nary_pjoin_factory,
+    pjoin_factory,
+    run_join_experiment,
+    xjoin_factory,
+)
 from repro.memory.budget import GovernorSpec
 from repro.memory.governor import MemoryGovernor
+from repro.planner import get_preset
 from repro.sim.costs import CostModel
 from repro.storage.disk import SimulatedDisk
 from repro.storage.hash_table import PartitionedHashTable, stable_hash
 from repro.tuples.schema import Schema
 from repro.tuples.tuple import Tuple
+from repro.workloads import generate_nary_workload, generate_workload
 
 SCHEMA = Schema.of("key", "seq")
 
@@ -121,6 +131,101 @@ class TestEnforcement:
         governor.after_insert(0, 0)
         governor._enforce()
         assert table.memory_count <= 1
+
+
+class TestPinRelease:
+    """Pins shield one item's buckets; nothing may outlive the item."""
+
+    def test_release_pins_unshields_faulted_bucket(self):
+        governor, (table,) = make_governor(1.0, n_partitions=1)
+        fill(table, range(6))
+        governor.fault_in(0, 0)  # e.g. a probe whose tuple is then dropped
+        governor.release_pins()
+        governor._enforce()
+        assert governor.evictions_denied == 0
+        assert table.memory_count == 0
+
+    @pytest.mark.parametrize("algo", ["pjoin", "nary"])
+    def test_dropped_tuples_leave_no_stale_pins(self, algo):
+        # Both joins drop covered tuples on the fly after probing; on
+        # these inputs the probed buckets' stale pins used to deny
+        # evictions (6 and 8 times).
+        config = PJoinConfig(purge_threshold=1)
+        if algo == "pjoin":
+            factory, budget = pjoin_factory(config), 125.0
+            workload = generate_workload(
+                n_tuples_per_stream=2000, punct_spacing_a=40,
+                punct_spacing_b=40, seed=3,
+            )
+        else:
+            factory, budget = nary_pjoin_factory(config=config), 60.0
+            workload = generate_nary_workload(
+                get_preset("nary_drift").with_overrides(
+                    n_tuples_per_stream=500, seed=3
+                )
+            )
+        with governed(GovernorSpec(budget)):
+            run = run_join_experiment(factory, workload, label="pins")
+        counters = run.join.counters()
+        assert run.join.tuples_dropped_on_fly > 0
+        assert counters["governor.spills"] > 0
+        assert counters["governor.evictions_denied"] == 0
+
+    @pytest.mark.parametrize(
+        "factory, background",
+        [
+            (lambda: pjoin_factory(PJoinConfig(purge_threshold=1,
+                                               memory_threshold=60)),
+             "disk_join_runs"),
+            (lambda: xjoin_factory(memory_threshold=60), "stage2_runs"),
+        ],
+        ids=["pjoin-disk-join", "xjoin-stage2"],
+    )
+    def test_no_pin_survives_an_item_or_background_task(
+        self, factory, background
+    ):
+        workload = generate_workload(
+            n_tuples_per_stream=600, punct_spacing_a=40, punct_spacing_b=40,
+            seed=7,
+        )
+        stale = []
+
+        def checked_factory(plan, workload):
+            join = factory()(plan, workload)
+            handle = join.handle
+
+            def checked_handle(item, port):
+                # Background work runs between items: its pins show here.
+                stale.append(set(join.governor._pins))
+                cost = handle(item, port)
+                stale.append(set(join.governor._pins))
+                return cost
+
+            join.handle = checked_handle
+            return join
+
+        # Cheap items leave the join idle between arrivals, so the
+        # reactive disk-join stages run.
+        with governed(GovernorSpec(100.0)):
+            run = run_join_experiment(
+                checked_factory, workload, label="pins",
+                cost_model=CostModel().scaled(0.01),
+            )
+        assert getattr(run.join, background) > 0
+        assert not any(stale)
+        assert not run.join.governor._pins  # the clean-up join's too
+
+    def test_cleanup_join_leaves_no_pins(self):
+        # XJoin's clean-up join faults every cold bucket back in.
+        workload = generate_workload(
+            n_tuples_per_stream=600, punct_spacing_a=40, punct_spacing_b=40,
+            seed=7,
+        )
+        with governed(GovernorSpec(40.0)):
+            run = run_join_experiment(xjoin_factory(), workload, label="pins")
+        governor = run.join.governor
+        assert governor.spills > 0 and governor.cold_size() == 0
+        assert not governor._pins
 
 
 class TestPolicies:
