@@ -5,9 +5,11 @@ over budget.  Candidates are ``(registration, partition)`` pairs — one
 entry per hash bucket with a non-empty warm memory portion that is not
 pinned by the in-flight probe — and selection must be deterministic
 (ties broken by registration order, then bucket index) so seeded runs
-stay reproducible.
+stay reproducible.  The governor reads the LRU victim off its touch
+order instead of building the candidate list; :class:`LRUPolicy`
+defines the bucket that order must yield.
 
-Three policies ship:
+Four policies ship:
 
 * ``lru`` — demote the bucket whose last touch (probe fault-in or
   insert) is oldest on the governor's logical clock;
