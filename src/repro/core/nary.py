@@ -527,7 +527,8 @@ class NaryPJoin(Operator):
         snaplib.restore_validator_into(self.validator, snap["validator"])
         snaplib.restore_attrs(self, snap["counters"])
         for attr, values in snap.get("side_counters", {}).items():
-            setattr(self, attr, list(values))
+            # In place: the item handler holds these lists.
+            getattr(self, attr)[:] = values
         plan = snap.get("plan")
         if plan is not None:
             self.set_plan(plan["stream_order"])

@@ -169,3 +169,22 @@ class TestPropagation:
         engine.run()
         assert sink.finished
         assert sink.punctuation_count == 1
+
+
+class TestRestore:
+    def test_restored_join_keeps_counting(self, engine, joined):
+        """Per-side counters resume from the snapshot and keep counting."""
+        join, _ = joined()
+        for key in range(5):
+            for stream in range(3):
+                join.push(tup(stream, key), stream)
+        engine.run()
+        restored, _ = joined()
+        restored.restore_state(join.snapshot_state())
+        for key in range(5, 9):
+            for stream in range(3):
+                restored.push(tup(stream, key), stream)
+        engine.run()
+        counters = restored.counters()
+        assert counters["side.input0.tuples_in"] == 9
+        assert counters["side.input0.probe_count"] == 18
