@@ -113,15 +113,6 @@ def _add_batch_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_fastpath_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--no-fastpath", action="store_true",
-        help="disable the specialized hot-path closures and run every "
-             "join through the layered dispatch (results are "
-             "byte-identical; only wall-clock time changes)",
-    )
-
-
 def _add_planner_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--planner", choices=("static", "adaptive"), default="static",
@@ -130,18 +121,6 @@ def _add_planner_args(parser: argparse.ArgumentParser) -> None:
              "to unplanned runs); 'adaptive' re-optimizes the order at "
              "punctuation-aligned purge boundaries",
     )
-
-
-@contextlib.contextmanager
-def _maybe_no_fastpath(disabled: bool):
-    """Enter ``fastpath.disabled()`` when ``--no-fastpath`` was given."""
-    if not disabled:
-        yield
-        return
-    from repro.operators import fastpath
-
-    with fastpath.disabled():
-        yield
 
 
 def _planner_context(args: argparse.Namespace):
@@ -223,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_memory_args(figures_cmd)
     _add_batch_args(figures_cmd)
-    _add_fastpath_args(figures_cmd)
     _add_planner_args(figures_cmd)
     figures_cmd.set_defaults(func=cmd_figures)
 
@@ -245,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_memory_args(demo_cmd)
     _add_batch_args(demo_cmd)
-    _add_fastpath_args(demo_cmd)
     demo_cmd.set_defaults(func=cmd_demo)
 
     _add_plan_parser(sub)
@@ -321,7 +298,6 @@ def _add_plan_parser(sub) -> None:
         help="also run the static plan and exit non-zero unless the "
              "adaptive run produced the identical result multiset",
     )
-    _add_fastpath_args(plan_cmd)
     plan_cmd.set_defaults(func=cmd_plan)
 
 
@@ -353,20 +329,19 @@ def cmd_plan(args: argparse.Namespace) -> int:
     # visible against the fixed per-tuple overhead.
     cost_model = CostModel().with_overrides(probe_per_candidate=0.04)
     planner = PlannerSpec(mode="adaptive", reopt_interval=args.reopt_interval)
-    with _maybe_no_fastpath(getattr(args, "no_fastpath", False)):
-        adaptive = run_nary_experiment(
-            workload, config=config, planner=planner,
-            cost_model=cost_model, label="adaptive",
-            keep_items=args.check,
+    adaptive = run_nary_experiment(
+        workload, config=config, planner=planner,
+        cost_model=cost_model, label="adaptive",
+        keep_items=args.check,
+    )
+    static = None
+    if args.check:
+        static = run_nary_experiment(
+            workload, config=config,
+            planner=PlannerSpec(mode="static"),
+            cost_model=cost_model, label="static",
+            keep_items=True,
         )
-        static = None
-        if args.check:
-            static = run_nary_experiment(
-                workload, config=config,
-                planner=PlannerSpec(mode="static"),
-                cost_model=cost_model, label="static",
-                keep_items=True,
-            )
     reopt = adaptive.join.reoptimizer
     order_names = lambda order: "->".join(names[i] for i in order)  # noqa: E731
     initial = planner.initial_order or tuple(range(len(names)))
@@ -1101,11 +1076,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
         # Same re-import problem for the batching() context.
         log.error("--batch-size cannot be combined with --jobs > 1")
         return 2
-    no_fastpath = getattr(args, "no_fastpath", False)
-    if no_fastpath and jobs > 1:
-        # Same re-import problem for the fastpath context.
-        log.error("--no-fastpath cannot be combined with --jobs > 1")
-        return 2
     planner_ctx = _planner_context(args)
     if planner_ctx is not None and jobs > 1:
         # The planning() context would not reach re-importing sweep
@@ -1133,7 +1103,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 log.error(str(exc))
                 return 2
-        stack.enter_context(_maybe_no_fastpath(no_fastpath))
         if planner_ctx is not None:
             stack.enter_context(planner_ctx)
         export_dir = getattr(args, "export", None)
@@ -1179,9 +1148,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 log.error(str(exc))
                 return 2
-        stack.enter_context(
-            _maybe_no_fastpath(getattr(args, "no_fastpath", False))
-        )
         pjoin = run_join_experiment(
             pjoin_factory(PJoinConfig(purge_threshold=args.purge_threshold)),
             workload,

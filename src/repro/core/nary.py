@@ -33,10 +33,11 @@ from repro.core.propagation import run_propagation
 from repro.core.state import JoinStateSide
 from repro.errors import ConfigError, OperatorError
 from repro.memory.budget import GovernorSpec
+from repro.operators import fastpath
 from repro.operators.base import Operator
 from repro.planner.spec import PlannerSpec, validate_order
 from repro.punctuations.punctuation import Punctuation
-from repro.resilience.policy import STRICT
+from repro.resilience.policy import STRICT, TRUST
 from repro.resilience.validator import ContractValidator
 from repro.sim.costs import CostModel
 from repro.sim.engine import SimulationEngine
@@ -123,8 +124,8 @@ class NaryPJoin(Operator):
         self.side_last_punct_ms = [0.0] * n
         self.last_purge_ms = 0.0
         # Plan state: a global stream priority order.  The containers
-        # are mutated in place by set_plan so the fast-path closure's
-        # captured references stay live across static rebuilds.
+        # are mutated in place by set_plan so the item handler's
+        # references stay live across plan switches.
         self.planner_spec = planner
         self.probe_orders: List[PyTuple[int, ...]] = [()] * n
         self._emit_perm: List[Any] = [None] * n
@@ -139,7 +140,7 @@ class NaryPJoin(Operator):
             from repro.planner.reopt import Reoptimizer
 
             self.reoptimizer = Reoptimizer(self, planner)
-        self._build_fast_path()
+        self._install_handler()
 
     # ------------------------------------------------------------------
     # Plan installation (repro.planner)
@@ -172,108 +173,12 @@ class NaryPJoin(Operator):
                 *(slot[stream] for stream in range(self.n_inputs))
             )
 
-    # ------------------------------------------------------------------
-    # Fast-path specialization (see repro.operators.fastpath)
-    # ------------------------------------------------------------------
-
-    def _build_fast_path(self) -> None:
-        """Install a specialized ``handle`` when every hot layer is off.
-
-        Conditions: strict (default) fault policy — the contract check
-        collapses to one direct ``covers`` call per tuple, with the full
-        validator invoked only on an actual violation so strict raising
-        semantics stay byte-identical — no governor attached, and no
-        tracer on the engine at build time.
-        """
-        from repro.operators import fastpath
-
-        if not fastpath.fastpath_enabled():
-            return
-        cls = type(self)
-        if cls.handle is not NaryPJoin.handle or (
-            cls._handle_tuple is not NaryPJoin._handle_tuple
-        ):
-            return  # a subclass extends the hot path: keep it layered
-        if self.validator.policy != STRICT:
-            return
-        if self.governor is not None:
-            return
-        if self.reoptimizer is not None:
-            return  # adaptive planning re-enters the operator mid-run
-        if getattr(self.engine, "tracer", None) is not None:
-            return
-        sides = self.sides
-        join_indices = self.join_indices
-        n_inputs = self.n_inputs
-        cost_model = self.cost_model
-        tuple_overhead = cost_model.tuple_overhead
-        drop_check = cost_model.drop_check
-        insert_cost = cost_model.insert
-        on_the_fly_drop = self.config.on_the_fly_drop
-        engine = self.engine
-        probe_orders = self.probe_orders  # mutated in place by set_plan
-        side_tuples_in = self.side_tuples_in
-        side_probe_count = self.side_probe_count
-        side_probe_hits = self.side_probe_hits
-        side_match_count = self.side_match_count
-        side_probe_occupancy = self.side_probe_occupancy
-
-        def fast_tuple(tup: Tuple, side: int) -> float:
-            mine = sides[side]
-            value = tup.values[join_indices[side]]
-            cost = tuple_overhead
-            if mine.covers(value):
-                self.validator.admit(tup, value, side)
-                return cost  # pragma: no cover - strict admit raises
-            side_tuples_in[side] += 1
-            value_hash = stable_hash(value)
-            match_lists: List[List[PyTuple[Any, ...]]] = []
-            complete = True
-            for other in probe_orders[side]:
-                occupancy, matches = sides[other].probe(value, value_hash)
-                side_probe_count[other] += 1
-                side_probe_occupancy[other] += occupancy
-                cost += cost_model.probe_cost(occupancy, len(matches))
-                if not matches:
-                    complete = False
-                    break
-                side_probe_hits[other] += 1
-                side_match_count[other] += len(matches)
-                match_lists.append([entry.tup.values for entry in matches])
-            if complete:
-                cost += self._emit_combinations(tup, side, match_lists)
-            dropped = False
-            if on_the_fly_drop:
-                cost += drop_check
-                if all(
-                    sides[other].covers(value)
-                    for other in range(n_inputs)
-                    if other != side
-                ):
-                    dropped = True
-                    self.tuples_dropped_on_fly += 1
-            if not dropped:
-                mine.insert(tup, value, engine.now, value_hash)
-                cost += insert_cost
-            return cost
-
-        def handle(item: Any, port: int) -> float:
-            if isinstance(item, Tuple):
-                return fast_tuple(item, port)
-            if isinstance(item, Punctuation):
-                return self._handle_punctuation(item, port)
-            return 0.0
-
-        self.handle = fastpath.mark(handle)  # type: ignore[method-assign]
-
     def __getstate__(self) -> dict:
-        from repro.operators import fastpath
-
         return fastpath.strip_for_pickle(self.__dict__)
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._build_fast_path()
+        self._install_handler()
 
     @property
     def punctuation_violations(self) -> int:
@@ -317,59 +222,95 @@ class NaryPJoin(Operator):
     # Item handling
     # ------------------------------------------------------------------
 
-    def handle(self, item: Any, port: int) -> float:
-        if isinstance(item, Punctuation):
-            return self._handle_punctuation(item, port)
-        if isinstance(item, Tuple):
-            return self._handle_tuple(item, port)
-        return 0.0
+    def _install_handler(self) -> None:
+        """Install this join's item handler as ``handle``.
 
-    def _handle_tuple(self, tup: Tuple, side: int) -> float:
-        value = tup.values[self.join_indices[side]]
-        cost = self.cost_model.tuple_overhead
-        if not self.validator.admit(tup, value, side):
-            return cost  # quarantined: must not probe or enter the state
-        self.side_tuples_in[side] += 1
-        value_hash = stable_hash(value)
+        The optional layers present at build are bound in and absent
+        ones left out: the contract check (one ``covers`` probe of the
+        tuple's own side, with the validator deciding only a covered
+        value) and the memory governor.  Hooks are reached through their
+        owners at call time, so profiler shadows installed after build
+        hold.  The handler holds the plan and per-side counter lists;
+        :meth:`set_plan` and :meth:`restore_state` mutate them in place.
+        """
+        sides = self.sides
+        join_indices = self.join_indices
+        n_inputs = self.n_inputs
+        cost_model = self.cost_model
+        tuple_overhead = cost_model.tuple_overhead
+        drop_check = cost_model.drop_check
+        insert_cost = cost_model.insert
+        on_the_fly_drop = self.config.on_the_fly_drop
+        engine = self.engine
+        validator = self.validator
+        check_contract = validator.policy != TRUST
         governor = self.governor
-        # Probe every other state in plan order; a result needs a match
-        # from each, so the first empty probe ends the pipeline.
-        match_lists: List[List[PyTuple[Any, ...]]] = []
-        complete = True
-        for other in self.probe_orders[side]:
-            if governor is not None:
-                cost += governor.fault_in(other, value, value_hash)
-            occupancy, matches = self.sides[other].probe(value, value_hash)
-            self.side_probe_count[other] += 1
-            self.side_probe_occupancy[other] += occupancy
-            cost += self.cost_model.probe_cost(occupancy, len(matches))
-            if not matches:
-                complete = False
-                break
-            self.side_probe_hits[other] += 1
-            self.side_match_count[other] += len(matches)
-            match_lists.append([entry.tup.values for entry in matches])
-        if complete:
-            cost += self._emit_combinations(tup, side, match_lists)
-        # On-the-fly drop: covered by all other streams' punctuations.
-        dropped = False
-        if self.config.on_the_fly_drop:
-            cost += self.cost_model.drop_check
-            if all(
-                self.sides[other].covers(value)
-                for other in range(self.n_inputs)
-                if other != side
+        probe_orders = self.probe_orders
+        side_tuples_in = self.side_tuples_in
+        side_probe_count = self.side_probe_count
+        side_probe_hits = self.side_probe_hits
+        side_match_count = self.side_match_count
+        side_probe_occupancy = self.side_probe_occupancy
+
+        def on_tuple(tup: Tuple, side: int) -> float:
+            mine = sides[side]
+            value = tup.values[join_indices[side]]
+            cost = tuple_overhead
+            if (
+                check_contract
+                and mine.covers(value)
+                and not validator.admit(tup, value, side)
             ):
-                dropped = True
-                self.tuples_dropped_on_fly += 1
-        if not dropped:
-            self.sides[side].insert(tup, value, self.engine.now, value_hash)
-            cost += self.cost_model.insert
-            if governor is not None:
-                cost += governor.after_insert(side, value, value_hash)
-        elif governor is not None:
-            governor.release_pins()
-        return cost
+                return cost  # quarantined: must not probe or enter the state
+            side_tuples_in[side] += 1
+            value_hash = stable_hash(value)
+            # Probe every other state in plan order; a result needs a
+            # match from each, so the first empty probe ends the pipeline.
+            match_lists: List[List[PyTuple[Any, ...]]] = []
+            complete = True
+            for other in probe_orders[side]:
+                if governor is not None:
+                    cost += governor.fault_in(other, value, value_hash)
+                occupancy, matches = sides[other].probe(value, value_hash)
+                side_probe_count[other] += 1
+                side_probe_occupancy[other] += occupancy
+                cost += cost_model.probe_cost(occupancy, len(matches))
+                if not matches:
+                    complete = False
+                    break
+                side_probe_hits[other] += 1
+                side_match_count[other] += len(matches)
+                match_lists.append([entry.tup.values for entry in matches])
+            if complete:
+                cost += self._emit_combinations(tup, side, match_lists)
+            # On-the-fly drop: covered by all other streams' punctuations.
+            dropped = False
+            if on_the_fly_drop:
+                cost += drop_check
+                if all(
+                    sides[other].covers(value)
+                    for other in range(n_inputs)
+                    if other != side
+                ):
+                    dropped = True
+                    self.tuples_dropped_on_fly += 1
+            if not dropped:
+                mine.insert(tup, value, engine.now, value_hash)
+                cost += insert_cost
+                if governor is not None:
+                    cost += governor.after_insert(side, value, value_hash)
+            elif governor is not None:
+                governor.release_pins()
+            return cost
+
+        def handle(item: Any, port: int) -> float:
+            if isinstance(item, Tuple):
+                return on_tuple(item, port)
+            if isinstance(item, Punctuation):
+                return self._handle_punctuation(item, port)
+            return 0.0
+
+        self.handle = fastpath.mark(handle)  # type: ignore[method-assign]
 
     def _emit_combinations(
         self, tup: Tuple, side: int, match_lists: List[List[PyTuple[Any, ...]]]

@@ -23,7 +23,7 @@ as in the paper's experiments.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple as PyTuple
+from typing import Any, Callable, Dict, List, Optional, Tuple as PyTuple
 
 from repro.core.config import (
     INDEX_EAGER,
@@ -49,7 +49,7 @@ from repro.operators.dedupe import (
     stage2_covered_one_side,
 )
 from repro.punctuations.punctuation import Punctuation
-from repro.resilience.policy import STRICT
+from repro.resilience.policy import STRICT, TRUST
 from repro.resilience.validator import ContractValidator
 from repro.sim.costs import CostModel
 from repro.sim.engine import SimulationEngine
@@ -214,102 +214,14 @@ class PJoin(BinaryHashJoin):
         self.propagation_latency_total_ms = 0.0
         if self.config.propagation_mode == PROPAGATE_PUSH_TIME:
             self._arm_propagation_timer()
-        self._build_fast_path()
-
-    # ==================================================================
-    # Fast-path specialization (see repro.operators.fastpath)
-    # ==================================================================
-
-    def _build_fast_path(self) -> None:
-        """Install a specialized ``handle`` when every hot layer is off.
-
-        Conditions: strict (default) fault policy, no governor, no
-        tracer attached at build time.  The strict contract check stays
-        — inlined as one direct ``covers`` probe per tuple, delegating
-        to the full validator only on an actual violation — so the fast
-        path is byte-identical to the layered one, counters included.
-        """
-        if not fastpath.fastpath_enabled():
-            return
-        cls = type(self)
-        if cls.handle is not PJoin.handle or (
-            cls._handle_tuple is not PJoin._handle_tuple
-        ):
-            return  # a subclass (e.g. WindowedPJoin) extends the hot path
-        if self.validator.policy != STRICT:
-            return
-        if self.governor is not None:
-            return
-        if self.skew is not None:
-            return  # the skew layer rides the layered hot path
-        if getattr(self.engine, "tracer", None) is not None:
-            return
-        side0, side1 = self.sides
-        ji0, ji1 = self.join_indices
-        cost_model = self.cost_model
-        tuple_overhead = cost_model.tuple_overhead
-        drop_check = cost_model.drop_check
-        insert_cost = cost_model.insert
-        on_the_fly_drop = self.config.on_the_fly_drop
-        engine = self.engine
-        monitor = self.monitor
-
-        def fast_tuple(tup: Tuple, side: int) -> float:
-            if side == 0:
-                value = tup.values[ji0]
-                mine, other = side0, side1
-            else:
-                value = tup.values[ji1]
-                mine, other = side1, side0
-            cost = tuple_overhead
-            if mine.covers(value):
-                # Strict contract violation: the full validator counts
-                # it and raises, exactly as on the layered path.
-                self.validator.admit(tup, value, side)
-                return cost  # pragma: no cover - strict admit raises
-            value_hash = stable_hash(value)
-            occupancy, matches = other.probe(value, value_hash)
-            self.probes += 1
-            self.probe_matches += len(matches)
-            self.emit_joins(tup, matches, side)
-            probe_cost = cost_model.probe_cost(occupancy, len(matches))
-            self.probe_time_total += probe_cost
-            cost += probe_cost
-            dropped = False
-            if on_the_fly_drop:
-                cost += drop_check
-                if other.covers(value):
-                    if other.table.partition_for(value, value_hash).disk_count == 0:
-                        dropped = True
-                        self.tuples_dropped_on_fly += 1
-            if not dropped:
-                mine.insert(tup, value, engine.now, value_hash)
-                self.insertions += 1
-                cost += insert_cost
-                event = monitor.on_insert(side0.memory_size + side1.memory_size)
-                if event is not None:
-                    cost += self.dispatch(event)
-            return cost
-
-        def handle(item: Any, port: int) -> float:
-            if isinstance(item, Tuple):
-                return fast_tuple(item, port)
-            if isinstance(item, Punctuation):
-                return self._handle_punctuation(item, port)
-            if isinstance(item, _ControlSignal):
-                return self.dispatch(item.event)
-            if isinstance(item, HotKeyReplica):
-                return self._handle_replica(item)
-            return 0.0
-
-        self.handle = fastpath.mark(handle)  # type: ignore[method-assign]
+        self._install_handler()
 
     def __getstate__(self) -> Dict[str, Any]:
         return fastpath.strip_for_pickle(self.__dict__)
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
-        self._build_fast_path()
+        self._install_handler()
 
     # ==================================================================
     # Event dispatch
@@ -391,16 +303,104 @@ class PJoin(BinaryHashJoin):
     # Item handling (memory join — the main thread)
     # ==================================================================
 
-    def handle(self, item: Any, port: int) -> float:
-        if isinstance(item, _ControlSignal):
-            return self.dispatch(item.event)
-        if isinstance(item, Punctuation):
-            return self._handle_punctuation(item, port)
-        if isinstance(item, Tuple):
-            return self._handle_tuple(item, port)
-        if isinstance(item, HotKeyReplica):
-            return self._handle_replica(item)
-        return 0.0
+    def _install_handler(self) -> None:
+        """Install this join's item handler as ``handle``."""
+        on_tuple = self._tuple_handler()
+
+        def handle(item: Any, port: int) -> float:
+            if isinstance(item, Tuple):
+                return on_tuple(item, port)
+            if isinstance(item, Punctuation):
+                return self._handle_punctuation(item, port)
+            if isinstance(item, _ControlSignal):
+                return self.dispatch(item.event)
+            if isinstance(item, HotKeyReplica):
+                return self._handle_replica(item)
+            return 0.0
+
+        self.handle = fastpath.mark(handle)  # type: ignore[method-assign]
+
+    def _tuple_handler(self) -> Callable[[Tuple, int], float]:
+        """The memory join of one arriving tuple; returns its cost.
+
+        The optional layers present at build are bound in and absent
+        ones left out: the contract check (one ``covers`` probe of the
+        tuple's own side, with the validator deciding only a covered
+        value), the skew sketch and the memory governor.  Hooks are
+        reached through their owners at call time, so profiler shadows
+        installed after build hold.
+        """
+        side0, side1 = self.sides
+        ji0, ji1 = self.join_indices
+        cost_model = self.cost_model
+        tuple_overhead = cost_model.tuple_overhead
+        drop_check = cost_model.drop_check
+        insert_cost = cost_model.insert
+        on_the_fly_drop = self.config.on_the_fly_drop
+        engine = self.engine
+        monitor = self.monitor
+        validator = self.validator
+        check_contract = validator.policy != TRUST
+        skew = self.skew
+        governor = self.governor
+
+        def on_tuple(tup: Tuple, side: int) -> float:
+            if side == 0:
+                value = tup.values[ji0]
+                mine, other = side0, side1
+            else:
+                value = tup.values[ji1]
+                mine, other = side1, side0
+            cost = tuple_overhead
+            if (
+                check_contract
+                and mine.covers(value)
+                and not validator.admit(tup, value, side)
+            ):
+                return cost  # quarantined: the tuple must not probe or insert
+            value_hash = stable_hash(value)
+            if skew is not None:
+                # O(1) counter bump riding the hash we just computed;
+                # charged zero virtual time (see repro.skew.manager).
+                skew.observe(value, value_hash)
+            if governor is not None:
+                # Fault any demoted entries of the target bucket back in
+                # before probing, so the probe sees the full warm state.
+                cost += governor.fault_in(1 - side, value, value_hash)
+            # Memory join: probe the opposite state's memory portion.
+            occupancy, matches = other.probe(value, value_hash)
+            self.probes += 1
+            self.probe_matches += len(matches)
+            self.emit_joins(tup, matches, side)
+            probe_cost = cost_model.probe_cost(occupancy, len(matches))
+            self.probe_time_total += probe_cost
+            cost += probe_cost
+            # On-the-fly drop: if the opposite punctuations already cover
+            # this value, no future opposite tuple can match it — the
+            # tuple need not enter the state at all.  It must still be
+            # kept when the opposite bucket has a disk portion it has not
+            # joined with.
+            dropped = False
+            if on_the_fly_drop:
+                cost += drop_check
+                if other.covers(value):
+                    if other.table.partition_for(value, value_hash).disk_count == 0:
+                        dropped = True
+                        self.tuples_dropped_on_fly += 1
+            if not dropped:
+                mine.insert(tup, value, engine.now, value_hash)
+                self.insertions += 1
+                cost += insert_cost
+                if governor is not None:
+                    cost += governor.after_insert(side, value, value_hash)
+                event = monitor.on_insert(side0.memory_size + side1.memory_size)
+                if event is not None:
+                    cost += self.dispatch(event)
+            elif governor is not None:
+                governor.release_pins()
+            return cost
+
+        return on_tuple
 
     def _handle_replica(self, replica: HotKeyReplica) -> float:
         """Insert-only admission of a hot-key state replica.
@@ -419,57 +419,6 @@ class PJoin(BinaryHashJoin):
         self.insertions += 1
         self.replica_inserts += 1
         return self.cost_model.insert
-
-    def _handle_tuple(self, tup: Tuple, side: int) -> float:
-        other = self.other(side)
-        value = self.join_value(tup, side)
-        cost = self.cost_model.tuple_overhead
-        if not self.validator.admit(tup, value, side):
-            return cost  # quarantined: the tuple must not probe or insert
-        value_hash = stable_hash(value)
-        if self.skew is not None:
-            # O(1) counter bump riding the hash we just computed; charged
-            # zero virtual time (see repro.skew.manager).
-            self.skew.observe(value, value_hash)
-        governor = self.governor
-        if governor is not None:
-            # Fault any demoted entries of the target bucket back in
-            # before probing, so the probe sees the full warm state.
-            cost += governor.fault_in(other, value, value_hash)
-        # Memory join: probe the opposite state's memory portion.
-        occupancy, matches = self.sides[other].probe(value, value_hash)
-        self.probes += 1
-        self.probe_matches += len(matches)
-        self.emit_joins(tup, matches, side)
-        probe_cost = self.cost_model.probe_cost(occupancy, len(matches))
-        self.probe_time_total += probe_cost
-        cost += probe_cost
-        # On-the-fly drop: if the opposite punctuations already cover
-        # this value, no future opposite tuple can match it — the tuple
-        # need not enter the state at all.  It must still be kept when
-        # the opposite bucket has a disk portion it has not joined with.
-        dropped = False
-        if self.config.on_the_fly_drop:
-            cost += self.cost_model.drop_check
-            if self.sides[other].covers(value):
-                opposite_partition = self.sides[other].table.partition_for(
-                    value, value_hash
-                )
-                if opposite_partition.disk_count == 0:
-                    dropped = True
-                    self.tuples_dropped_on_fly += 1
-        if not dropped:
-            self.sides[side].insert(tup, value, self.engine.now, value_hash)
-            self.insertions += 1
-            cost += self.cost_model.insert
-            if governor is not None:
-                cost += governor.after_insert(side, value, value_hash)
-            event = self.monitor.on_insert(self.memory_state_size())
-            if event is not None:
-                cost += self.dispatch(event)
-        elif governor is not None:
-            governor.release_pins()
-        return cost
 
     def _handle_punctuation(self, punct: Punctuation, side: int) -> float:
         cost = self.cost_model.punct_overhead

@@ -19,7 +19,7 @@ is a state bounded by the window.
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import Any, Callable, List
 
 from repro.core.pjoin import PJoin
 from repro.errors import ConfigError
@@ -54,13 +54,17 @@ class WindowedPJoin(PJoin):
         out["tuples_expired"] = self.tuples_expired
         return out
 
-    def _handle_tuple(self, tup: Tuple, side: int) -> float:
-        """Expire the probed bucket, then run the normal PJoin path."""
-        other = self.other(side)
-        value = self.join_value(tup, side)
-        expired = self._expire_bucket(other, value)
-        cost = super()._handle_tuple(tup, side)
-        return cost + self.cost_model.purge_scan_per_tuple * expired
+    def _tuple_handler(self) -> Callable[[Tuple, int], float]:
+        """Expire the probed bucket, then run the PJoin memory join."""
+        memory_join = super()._tuple_handler()
+        join_indices = self.join_indices
+        purge_scan = self.cost_model.purge_scan_per_tuple
+
+        def expire_then_join(tup: Tuple, side: int) -> float:
+            expired = self._expire_bucket(1 - side, tup.values[join_indices[side]])
+            return memory_join(tup, side) + purge_scan * expired
+
+        return expire_then_join
 
     def _expire_bucket(self, side: int, join_value: Any) -> int:
         """Drop out-of-window entries from the bucket about to be probed.

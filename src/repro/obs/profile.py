@@ -113,7 +113,7 @@ class Profiler:
                     self.total_ns += elapsed
 
         # Tag the shadow so leak checks can tell a forgotten profiler
-        # closure from a deliberate fast-path specialization
+        # closure from a join's own item handler
         # (see repro.operators.fastpath).
         profiled.__repro_profiled__ = True  # type: ignore[attr-defined]
         return profiled
@@ -128,10 +128,10 @@ class Profiler:
         """Shadow ``obj.name`` with *fn* on the instance; undoable.
 
         The undo restores whatever *instance* value the attribute held
-        before — fast-path closures live in the instance ``__dict__``
-        (see :mod:`repro.operators.fastpath`) and must survive a
-        profiled run, so a plain ``delattr`` would wrongly strip them
-        back to the layered class method.
+        before — each join's item handler lives in the instance
+        ``__dict__`` (see :mod:`repro.operators.fastpath`) and must
+        survive a profiled run, so a plain ``delattr`` would leave the
+        join without one.
         """
         try:
             prior = obj.__dict__.get(name, self._ABSENT)

@@ -1,91 +1,45 @@
-"""Construction-time fast-path specialization of join hot paths.
+"""Tags for the joins' item handlers.
 
-ROADMAP item 1: disabled feature layers must cost **zero** on the
-per-tuple path.  The layered ``handle`` implementations consult the
-contract validator, the memory governor and the tracer on every tuple —
-cheap branches, but they sit on ~100k calls per run and the attribute /
-method indirection dominates once the real work is a dict probe.
-
-The fix mirrors the instance-shadowing trick the profiler already uses
-(:mod:`repro.obs.profile`), in the opposite direction: at the **end of
-construction** each join inspects its own configuration and, when every
-per-tuple feature is off, installs a specialized ``handle`` closure on
-the *instance* that skips the disabled layers entirely — no policy
-compare, no ``governor is None`` branch, no validator method call.  The
-class-level layered ``handle`` remains untouched and is what runs
-whenever any feature is on.
-
-A join installs its fast path only when **all** of these hold:
-
-* the fault policy is the operator's default (``strict`` for
-  PJoin/NaryPJoin, ``trust`` for XJoin/SHJ).  The strict contract check
-  is *kept* — inlined as one direct ``covers`` call with the full
-  validator invoked only on an actual violation, so strict semantics
-  (raise, counters) are byte-identical;
-* no memory governor is attached (``--memory-budget`` off);
-* no tracer is attached to the engine at build time (``repro trace`` /
-  the obs feature layer off).  Punctuation-driven components keep their
-  own dynamic tracer guards either way — the condition is conservative.
-
-Closures are tagged with ``__repro_fastpath__`` so the profiling
-``--check`` gate can tell a deliberate specialization from a leaked
-profiler shadow, and :func:`disabled` lets the equivalence test suite
-force the layered path for byte-identity comparisons.
+PJoin, NaryPJoin, XJoin and the symmetric hash join each build one
+item handler at construction and install it as ``handle`` on the
+instance, with the optional layers present at build bound in and the
+absent ones left out.  This module tags such handlers with
+``__repro_fastpath__`` so that two checks can tell a join's own
+handler from anything else on the instance: the profiling ``--check``
+gate (a handler is not a leaked profiler shadow) and the benchmark's
+``paper_pjoin`` gate (the join runs its built handler).  It also strips
+the handler from pickled state, since closures cannot be pickled; each
+join rebuilds it in ``__setstate__``.  The module keeps its name
+because the benchmark imports :func:`is_fastpath` from it.
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import Any, Callable, Iterator
-
-# Process-wide switch, read once per operator construction.  Only the
-# equivalence tests and A/B measurements should ever turn this off.
-_ENABLED = True
-
-
-def fastpath_enabled() -> bool:
-    """Whether operators may install fast-path closures when built."""
-    return _ENABLED
-
-
-@contextlib.contextmanager
-def disabled() -> Iterator[None]:
-    """Build every operator in this block on the layered (slow) path.
-
-    The equivalence suite runs each preset once normally and once under
-    this context; the two runs must produce byte-identical manifests.
-    """
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
+from typing import Any, Callable
 
 
 def mark(fn: Callable[..., Any]) -> Callable[..., Any]:
-    """Tag *fn* as a deliberate fast-path instance closure."""
+    """Tag *fn* as a join's built item handler."""
     fn.__repro_fastpath__ = True  # type: ignore[attr-defined]
     return fn
 
 
 def is_fastpath(fn: Any) -> bool:
-    """Is *fn* a tagged fast-path closure (vs. e.g. a profiler shadow)?"""
+    """Is *fn* a tagged item handler (vs. e.g. a profiler shadow)?"""
     return bool(getattr(fn, "__repro_fastpath__", False))
 
 
 def has_fastpath(op: Any) -> bool:
-    """Does *op* carry a fast-path ``handle`` on the instance?"""
+    """Does *op* carry a tagged ``handle`` on the instance?"""
     return is_fastpath(vars(op).get("handle"))
 
 
 def strip_for_pickle(state: dict) -> dict:
-    """Drop a fast-path closure from a ``__dict__`` snapshot.
+    """Drop a tagged handler from a ``__dict__`` snapshot.
 
-    Closures cannot be pickled (the parallel sweep ships whole runs
-    across processes); operators strip the installed ``handle`` in
-    ``__getstate__`` and rebuild it in ``__setstate__``.
+    The parallel sweep ships whole runs across processes; joins strip
+    the installed ``handle`` in ``__getstate__`` and rebuild it in
+    ``__setstate__``.
     """
     if is_fastpath(state.get("handle")):
         state = dict(state)

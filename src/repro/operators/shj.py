@@ -14,7 +14,7 @@ zero-overhead behaviour.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.memory.budget import GovernorSpec
 from repro.operators import fastpath
@@ -27,6 +27,73 @@ from repro.sim.engine import SimulationEngine
 from repro.storage.hash_table import stable_hash
 from repro.tuples.schema import Schema
 from repro.tuples.tuple import Tuple
+
+
+def symmetric_handler(
+    join: Any, relocate: Optional[Callable[[], float]] = None
+) -> Callable[[Any, int], float]:
+    """The item handler of SHJ and XJoin: probe, emit, insert.
+
+    *join* is a :class:`SymmetricHashJoin` or an
+    :class:`~repro.operators.xjoin.XJoin`.  The optional layers present
+    at build are bound in and absent ones left out: the contract check
+    (any policy but ``trust``; the tables hold no punctuations, so every
+    tuple goes to the validator), the memory governor, and *relocate*,
+    XJoin's state relocation after each insert.  Hooks are reached
+    through their owners at call time, so profiler shadows installed
+    after build hold.
+    """
+    state0, state1 = join.states
+    ji0, ji1 = join.join_indices
+    cost_model = join.cost_model
+    tuple_overhead = cost_model.tuple_overhead
+    insert_cost = cost_model.insert
+    punct_overhead = cost_model.punct_overhead
+    engine = join.engine
+    validator = join.validator
+    check_contract = validator.policy != TRUST
+    governor = join.governor
+
+    def handle(item: Any, port: int) -> float:
+        if isinstance(item, Tuple):
+            if port == 0:
+                value = item.values[ji0]
+                mine, other = state0, state1
+            else:
+                value = item.values[ji1]
+                mine, other = state1, state0
+            if check_contract and not validator.admit(item, value, port):
+                return tuple_overhead
+            value_hash = stable_hash(value)
+            governor_cost = 0.0
+            if governor is not None:
+                governor_cost += governor.fault_in(1 - port, value, value_hash)
+            occupancy, matches = other.probe(value, value_hash)
+            join.probes += 1
+            join.probe_matches += len(matches)
+            join.emit_joins(item, matches, port)
+            mine.insert(item, value, engine.now, value_hash)
+            join.insertions += 1
+            if governor is not None:
+                governor_cost += governor.after_insert(port, value, value_hash)
+            cost = (
+                tuple_overhead
+                + cost_model.probe_cost(occupancy, len(matches))
+                + insert_cost
+                + governor_cost
+            )
+            if relocate is not None:
+                cost += relocate()
+            return cost
+        if isinstance(item, Punctuation):
+            # No constraint-exploiting mechanism: absorb.
+            if check_contract:
+                validator.observe_punctuation(item, port)
+            join.punctuations_absorbed += 1
+            return punct_overhead
+        return 0.0
+
+    return fastpath.mark(handle)
 
 
 class SymmetricHashJoin(BinaryHashJoin):
@@ -72,103 +139,14 @@ class SymmetricHashJoin(BinaryHashJoin):
             self.governor.register_side(0, self.states[0])
             self.governor.register_side(1, self.states[1])
         self.punctuations_absorbed = 0
-        self._build_fast_path()
-
-    # ------------------------------------------------------------------
-    # Fast-path specialization (see repro.operators.fastpath)
-    # ------------------------------------------------------------------
-
-    def _build_fast_path(self) -> None:
-        """Install a specialized ``handle`` when every hot layer is off.
-
-        Conditions: trust (default) fault policy — ``admit`` and
-        ``observe_punctuation`` are no-ops over inert contracts — no
-        governor, and no tracer attached at build time.
-        """
-        if not fastpath.fastpath_enabled():
-            return
-        if type(self).handle is not SymmetricHashJoin.handle:
-            return  # a subclass extends the hot path: keep it layered
-        if self.validator.policy != TRUST:
-            return
-        if self.governor is not None:
-            return
-        if getattr(self.engine, "tracer", None) is not None:
-            return
-        state0, state1 = self.states
-        ji0, ji1 = self.join_indices
-        cost_model = self.cost_model
-        tuple_overhead = cost_model.tuple_overhead
-        insert_cost = cost_model.insert
-        punct_overhead = cost_model.punct_overhead
-        engine = self.engine
-
-        def handle(item: Any, port: int) -> float:
-            if isinstance(item, Tuple):
-                if port == 0:
-                    value = item.values[ji0]
-                    mine, other = state0, state1
-                else:
-                    value = item.values[ji1]
-                    mine, other = state1, state0
-                value_hash = stable_hash(value)
-                occupancy, matches = other.probe(value, value_hash)
-                self.probes += 1
-                self.probe_matches += len(matches)
-                self.emit_joins(item, matches, port)
-                mine.insert(item, value, engine.now, value_hash)
-                self.insertions += 1
-                return (
-                    tuple_overhead
-                    + cost_model.probe_cost(occupancy, len(matches))
-                    + insert_cost
-                )
-            if isinstance(item, Punctuation):
-                self.punctuations_absorbed += 1
-                return punct_overhead
-            return 0.0
-
-        self.handle = fastpath.mark(handle)  # type: ignore[method-assign]
+        self.handle = symmetric_handler(self)  # type: ignore[method-assign]
 
     def __getstate__(self) -> Dict[str, Any]:
         return fastpath.strip_for_pickle(self.__dict__)
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
-        self._build_fast_path()
-
-    def handle(self, item: Any, port: int) -> float:
-        if isinstance(item, Punctuation):
-            # No constraint-exploiting mechanism: absorb.
-            self.validator.observe_punctuation(item, port)
-            self.punctuations_absorbed += 1
-            return self.cost_model.punct_overhead
-        if not isinstance(item, Tuple):
-            return 0.0
-        side = port
-        other = self.other(side)
-        value = self.join_value(item, side)
-        if not self.validator.admit(item, value, side):
-            return self.cost_model.tuple_overhead
-        value_hash = stable_hash(value)
-        governor = self.governor
-        governor_cost = 0.0
-        if governor is not None:
-            governor_cost += governor.fault_in(other, value, value_hash)
-        occupancy, matches = self.states[other].probe(value, value_hash)
-        self.probes += 1
-        self.probe_matches += len(matches)
-        self.emit_joins(item, matches, side)
-        self.states[side].insert(item, value, self.engine.now, value_hash)
-        self.insertions += 1
-        if governor is not None:
-            governor_cost += governor.after_insert(side, value, value_hash)
-        return (
-            self.cost_model.tuple_overhead
-            + self.cost_model.probe_cost(occupancy, len(matches))
-            + self.cost_model.insert
-            + governor_cost
-        )
+        self.handle = symmetric_handler(self)  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
     # Checkpointing (repro.checkpoint)

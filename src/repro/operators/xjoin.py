@@ -29,8 +29,7 @@ from repro.obs.trace import get_tracer
 from repro.operators import fastpath
 from repro.operators.binary import BinaryHashJoin
 from repro.operators.dedupe import already_produced, stage1_covered
-from repro.storage.hash_table import stable_hash
-from repro.punctuations.punctuation import Punctuation
+from repro.operators.shj import symmetric_handler
 from repro.resilience.policy import TRUST
 from repro.resilience.validator import ContractValidator
 from repro.sim.costs import CostModel
@@ -38,7 +37,6 @@ from repro.sim.engine import SimulationEngine
 from repro.storage.disk import SimulatedDisk
 from repro.storage.partition import HybridPartition, StateEntry
 from repro.tuples.schema import Schema
-from repro.tuples.tuple import Tuple
 
 
 class XJoin(BinaryHashJoin):
@@ -125,111 +123,25 @@ class XJoin(BinaryHashJoin):
         self.stage2_runs = 0
         self.stage3_pairs_emitted = 0
         self.punctuations_absorbed = 0
-        self._build_fast_path()
-
-    # ------------------------------------------------------------------
-    # Fast-path specialization (see repro.operators.fastpath)
-    # ------------------------------------------------------------------
-
-    def _build_fast_path(self) -> None:
-        """Install a specialized ``handle`` when every hot layer is off.
-
-        Conditions: trust (default) fault policy — ``admit`` always
-        returns ``True`` and ``observe_punctuation`` is a no-op over
-        inert contracts, so both vanish — no governor, no relocation
-        threshold, and no tracer attached at build time.
-        """
-        if not fastpath.fastpath_enabled():
-            return
-        if type(self).handle is not XJoin.handle:
-            return  # a subclass extends the hot path: keep it layered
-        if self.validator.policy != TRUST:
-            return
-        if self.governor is not None:
-            return
-        if self.memory_threshold is not None:
-            return
-        if getattr(self.engine, "tracer", None) is not None:
-            return
-        state0, state1 = self.states
-        ji0, ji1 = self.join_indices
-        cost_model = self.cost_model
-        tuple_overhead = cost_model.tuple_overhead
-        insert_cost = cost_model.insert
-        punct_overhead = cost_model.punct_overhead
-        engine = self.engine
-
-        def handle(item: Any, port: int) -> float:
-            if isinstance(item, Tuple):
-                if port == 0:
-                    value = item.values[ji0]
-                    mine, other = state0, state1
-                else:
-                    value = item.values[ji1]
-                    mine, other = state1, state0
-                value_hash = stable_hash(value)
-                occupancy, matches = other.probe(value, value_hash)
-                self.probes += 1
-                self.probe_matches += len(matches)
-                self.emit_joins(item, matches, port)
-                mine.insert(item, value, engine.now, value_hash)
-                self.insertions += 1
-                return (
-                    tuple_overhead
-                    + cost_model.probe_cost(occupancy, len(matches))
-                    + insert_cost
-                )
-            if isinstance(item, Punctuation):
-                self.punctuations_absorbed += 1
-                return punct_overhead
-            return 0.0
-
-        self.handle = fastpath.mark(handle)  # type: ignore[method-assign]
+        self._install_handler()
 
     def __getstate__(self) -> Dict[str, Any]:
         return fastpath.strip_for_pickle(self.__dict__)
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
-        self._build_fast_path()
+        self._install_handler()
 
     # ------------------------------------------------------------------
     # Stage 1: per-tuple memory join
     # ------------------------------------------------------------------
 
-    def handle(self, item: Any, port: int) -> float:
-        if isinstance(item, Punctuation):
-            self.validator.observe_punctuation(item, port)
-            self.punctuations_absorbed += 1
-            return self.cost_model.punct_overhead
-        if not isinstance(item, Tuple):
-            return 0.0
-        side = port
-        other = self.other(side)
-        value = self.join_value(item, side)
-        if not self.validator.admit(item, value, side):
-            return self.cost_model.tuple_overhead
-        value_hash = stable_hash(value)
-        governor = self.governor
-        governor_cost = 0.0
-        if governor is not None:
-            governor_cost += governor.fault_in(other, value, value_hash)
-        occupancy, matches = self.states[other].probe(value, value_hash)
-        self.probes += 1
-        self.probe_matches += len(matches)
-        self.emit_joins(item, matches, side)
-        self.states[side].insert(item, value, self.engine.now, value_hash)
-        self.insertions += 1
-        if governor is not None:
-            governor_cost += governor.after_insert(side, value, value_hash)
-        cost = (
-            self.cost_model.tuple_overhead
-            + self.cost_model.probe_cost(occupancy, len(matches))
-            + self.cost_model.insert
-            + governor_cost
+    def _install_handler(self) -> None:
+        """Install the symmetric handler, relocating after inserts when bounded."""
+        relocate = self._maybe_relocate if self.memory_threshold is not None else None
+        self.handle = symmetric_handler(  # type: ignore[method-assign]
+            self, relocate=relocate
         )
-        cost += self._maybe_relocate()
-        return cost
 
     # ------------------------------------------------------------------
     # State relocation
@@ -237,8 +149,6 @@ class XJoin(BinaryHashJoin):
 
     def _maybe_relocate(self) -> float:
         """Spill the largest memory partition if over the threshold."""
-        if self.memory_threshold is None:
-            return 0.0
         cost = 0.0
         tracer = get_tracer(self.engine)
         while self.memory_state_size() >= self.memory_threshold:

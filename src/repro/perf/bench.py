@@ -671,13 +671,6 @@ def add_bench_args(parser: argparse.ArgumentParser) -> None:
              "so combine with --no-compare",
     )
     parser.add_argument(
-        "--no-fastpath", action="store_true",
-        help="run every in-process case with the specialized hot-path "
-             "closures disabled (results are byte-identical; only wall "
-             "time moves); wall times will not be comparable to a "
-             "fastpath baseline, so combine with --no-compare",
-    )
-    parser.add_argument(
         "--layer-matrix", action="store_true",
         help="also run the feature-toggle grid (obs/resilience/governor/"
              "shard on and off) on the fig5_pjoin preset and record the "
@@ -707,10 +700,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 stack.enter_context(governed(spec))
             if getattr(args, "batch_size", None) is not None:
                 stack.enter_context(batching(args.batch_size))
-            if getattr(args, "no_fastpath", False):
-                from repro.operators import fastpath
-
-                stack.enter_context(fastpath.disabled())
             report = run_bench(
                 scale=scale,
                 cases=args.cases,

@@ -7,7 +7,7 @@ its probe and purge orders:
 * ``static`` — the order is fixed at construction (``initial_order``,
   default stream order).  With the default order the operator is
   byte-identical to an unplanned build: same probes, same virtual
-  costs, same fast path.
+  costs, same item handler.
 * ``adaptive`` — a :class:`~repro.planner.reopt.Reoptimizer` is
   attached; at punctuation-aligned purge boundaries (the same
   purge-complete cover cuts :mod:`repro.checkpoint` checkpoints at) it

@@ -356,8 +356,8 @@ def check_profile(
     profiled = run_profile(preset, scale, (), profile=True, workload=workload)
 
     # (1) structurally no-op when off: nothing shadowed, no snapshot.
-    # A tagged fast-path closure (repro.operators.fastpath) is a
-    # deliberate build-time specialization, not a profiler leak.
+    # A join's tagged item handler (repro.operators.fastpath) is not a
+    # profiler leak.
     def _profiler_shadow(op: Any) -> bool:
         fn = vars(op).get("handle")
         return fn is not None and getattr(fn, "__repro_profiled__", False)
@@ -372,7 +372,7 @@ def check_profile(
     if fastpath.has_fastpath(join) and not fastpath.has_fastpath(
         profiled.run.join
     ):
-        failures.append("fast-path handle did not survive profiler restore()")
+        failures.append("item handler did not survive profiler restore()")
 
     # (2) profiling must not change the simulation.
     if profiled.outcome() != plain.outcome():

@@ -25,9 +25,9 @@ traffic.
   carrying an insert-only state copy to a non-home shard.
 
 The layer is strictly opt-in: a join built without a
-:class:`~repro.skew.manager.SkewSpec` takes the exact code path it took
-before this package existed (the fast-path build declines only when a
-spec is attached), so default manifests stay byte-identical.
+:class:`~repro.skew.manager.SkewSpec` builds its item handler without
+the sketch and its stock tables, exactly as before this package
+existed, so default manifests stay byte-identical.
 """
 
 from typing import Any

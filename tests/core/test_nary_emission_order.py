@@ -6,7 +6,7 @@ with the columns always in stream order.  The planner's equivalence
 property compares multisets only; these tests compare ordered lists
 against a nested-loop reference for n = 2, 3 and 4 under every plan
 ``set_plan`` can install, after a mid-run plan switch and across a
-snapshot/restore round trip, on the fast path and the layered path.
+snapshot/restore round trip.
 """
 
 import random
@@ -15,7 +15,6 @@ from itertools import permutations
 import pytest
 
 from repro.core.nary import NaryPJoin
-from repro.operators import fastpath
 from repro.operators.sink import Sink
 from repro.tuples.schema import Schema
 from repro.tuples.tuple import Tuple
@@ -25,12 +24,8 @@ def schemas(n):
     return [Schema.of("key", f"v{i}", name=f"S{i}") for i in range(n)]
 
 
-def build(engine, cost_model, n, layered=False):
-    if layered:
-        with fastpath.disabled():
-            join = NaryPJoin(engine, cost_model, schemas(n), ["key"] * n)
-    else:
-        join = NaryPJoin(engine, cost_model, schemas(n), ["key"] * n)
+def build(engine, cost_model, n):
+    join = NaryPJoin(engine, cost_model, schemas(n), ["key"] * n)
     sink = Sink(engine, cost_model, keep_items=True)
     join.connect(sink)
     return join, sink
@@ -106,14 +101,11 @@ def feed(engine, join, n, items):
     engine.run()
 
 
-@pytest.mark.parametrize("layered", [False, True], ids=["fast", "layered"])
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_ordered_results_across_a_mid_run_plan_switch(
-    engine, cheap_cost_model, n, layered
-):
+def test_ordered_results_across_a_mid_run_plan_switch(engine, cheap_cost_model, n):
     items = arrivals(n, 40, seed=10 + n)
     switched = tuple(reversed(range(n)))
-    join, sink = build(engine, cheap_cost_model, n, layered)
+    join, sink = build(engine, cheap_cost_model, n)
     feed(engine, join, n, items[:20])
     join.set_plan(switched)
     feed(engine, join, n, items[20:])

@@ -16,10 +16,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.config import PJoinConfig
+from repro.core.nary import NaryPJoin
 from repro.experiments.export import save_figure_json
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.harness import (
     active_profiler,
+    governed,
+    nary_pjoin_factory,
     pjoin_factory,
     profiling,
     run_join_experiment,
@@ -28,8 +31,12 @@ from repro.experiments.harness import (
     tracing,
     xjoin_factory,
 )
+from repro.memory.budget import GovernorSpec
 from repro.obs.profile import LAYERS, PROFILE_VERSION, Profiler
 from repro.obs.trace import Tracer
+from repro.operators import fastpath
+from repro.planner import get_preset
+from repro.workloads import generate_nary_workload
 from repro.workloads.generator import generate_workload
 
 
@@ -52,6 +59,11 @@ def small_workload(n=300, spacing=10.0, seed=7):
         punct_spacing_b=spacing,
         seed=seed,
     )
+
+
+def nary_workload():
+    spec = get_preset("nary_drift").with_overrides(n_tuples_per_stream=200, seed=3)
+    return generate_nary_workload(spec)
 
 
 class TestAttribution:
@@ -131,6 +143,8 @@ class TestInstrumentAndRestore:
                 stack.enter_context(tracing(Tracer()))
             if features.get("shards"):
                 stack.enter_context(sharding(features["shards"]))
+            if features.get("governor"):
+                stack.enter_context(governed(features["governor"]))
             profiler = stack.enter_context(profiling())
             run = run_join_experiment(factory, workload, label="profiled")
         return run, profiler
@@ -175,29 +189,49 @@ class TestInstrumentAndRestore:
         assert profiler.snapshot()["layers"]["core"]["calls"] > 0
         assert profiler.histograms["result_latency_ms"].count > 0
 
-    def test_restore_removes_every_shadow(self):
+    @pytest.mark.parametrize("obs", [True, False], ids=["traced", "untraced"])
+    def test_restore_leaves_only_the_built_handler(self, obs):
         factory = pjoin_factory(PJoinConfig(purge_threshold=1))
-        run, _ = self.run_once(factory, small_workload(), obs=True)
+        run, _ = self.run_once(factory, small_workload(), obs=obs)
         join = run.join
-        # The tracer suppresses the fast-path build, so restore() must
-        # leave literally no instance shadows behind.
-        for attr in ("handle", "on_finish", "emit_joins", "_handle_punctuation"):
+        # Profiling shadowed the join's item handler for the run;
+        # restore() must hand it back, not delete it, and leave no other
+        # instance shadow behind.
+        handle = vars(join)["handle"]
+        assert fastpath.is_fastpath(handle)
+        assert not getattr(handle, "__repro_profiled__", False)
+        for attr in ("on_finish", "emit_joins", "_handle_punctuation"):
             assert attr not in vars(join), f"leaked shadow: {attr}"
 
-    def test_restore_preserves_fast_path_handle(self):
-        from repro.operators import fastpath
+    @pytest.mark.parametrize(
+        "factory,workload",
+        [
+            (pjoin_factory(), small_workload),
+            (xjoin_factory(), small_workload),
+            (shj_factory(), small_workload),
+            (nary_pjoin_factory(), nary_workload),
+        ],
+        ids=["pjoin", "xjoin", "shj", "nary"],
+    )
+    def test_governor_hooks_attributed(self, factory, workload):
+        """Every governed tuple reaches the governor through its shadow.
 
-        factory = pjoin_factory(PJoinConfig(purge_threshold=1))
-        run, _ = self.run_once(factory, small_workload())
+        A handler holding ``governor.fault_in`` as a method bound at
+        build would bypass the profiler's instance shadow, and the
+        governor layer would miss the per-tuple hooks.
+        """
+        run, profiler = self.run_once(
+            factory, workload(), governor=GovernorSpec(50)
+        )
         join = run.join
-        # No tracer: the join built its fast path; profiling shadowed it
-        # for the run and restore() must hand it back, not delete it.
-        assert fastpath.has_fastpath(join)
-        for attr in ("on_finish", "emit_joins", "_handle_punctuation"):
-            fn = vars(join).get(attr)
-            assert fn is None or not getattr(
-                fn, "__repro_profiled__", False
-            ), f"leaked profiler shadow: {attr}"
+        if isinstance(join, NaryPJoin):
+            probes = sum(join.side_probe_count)
+            inserts = sum(join.side_tuples_in) - join.tuples_dropped_on_fly
+        else:
+            probes, inserts = join.probes, join.insertions
+        # fault_in before every probe, after_insert after every insert.
+        governor_calls = profiler.snapshot()["layers"]["governor"]["calls"]
+        assert governor_calls >= probes + inserts > 0
 
     def test_no_profiler_active_outside_context(self):
         assert active_profiler() is None

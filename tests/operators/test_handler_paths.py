@@ -1,4 +1,7 @@
-"""Each join's item handler under every optional layer, pinned by a golden.
+"""Each join's item handler under every optional layer.
+
+Every join builds one item handler at construction, whatever layers
+are attached; the first test checks that.
 
 The figure-5, governed, chaos and skew goldens pin the default PJoin
 and XJoin, governed runs, the chaos scenarios and the sharded skew
@@ -28,15 +31,74 @@ from repro.core.pjoin import PJoin
 from repro.core.windowed import WindowedPJoin
 from repro.errors import ContractViolationError
 from repro.experiments.harness import run_join_experiment
+from repro.memory.budget import GovernorSpec
 from repro.obs.trace import Tracer
+from repro.operators import fastpath
+from repro.operators.base import Operator
 from repro.operators.shj import SymmetricHashJoin
 from repro.operators.xjoin import XJoin
 from repro.planner import PlannerSpec, get_preset
+from repro.sim.costs import CostModel
+from repro.sim.engine import SimulationEngine
 from repro.skew.manager import SkewSpec
+from repro.tuples.schema import Schema
 from repro.workloads import generate_nary_workload, generate_workload
 from repro.workloads.faults import inject_punctuation_violation
 
 GOLDEN = Path(__file__).resolve().parents[1] / "goldens" / "handler_paths.json"
+
+# join -> the optional layers it supports
+LAYERS = {
+    "pjoin": ("traced", "governed", "quarantine", "skew"),
+    "windowed": ("traced", "governed", "quarantine", "skew"),
+    "xjoin": ("traced", "governed", "quarantine"),
+    "shj": ("traced", "governed", "quarantine"),
+    "nary": ("traced", "governed", "quarantine", "adaptive"),
+}
+BINARY = {
+    "pjoin": PJoin,
+    "windowed": WindowedPJoin,
+    "xjoin": XJoin,
+    "shj": SymmetricHashJoin,
+}
+
+
+def build_join(kind, layer):
+    """A *kind* join built with one optional *layer* (or none)."""
+    engine = SimulationEngine()
+    if layer == "traced":
+        engine.tracer = Tracer()
+    options = {
+        "governed": {"governor": GovernorSpec(100)},
+        "skew": {"skew": SkewSpec(adaptive=True)},
+        "adaptive": {"planner": PlannerSpec(mode="adaptive")},
+    }.get(layer, {})
+    if layer == "quarantine":
+        if kind in ("xjoin", "shj"):
+            options["fault_policy"] = "quarantine"
+        else:
+            options["config"] = PJoinConfig(fault_policy="quarantine")
+    schemas = [Schema.of("key", "v", name=f"S{i}") for i in range(3)]
+    if kind == "nary":
+        return NaryPJoin(engine, CostModel(), schemas, ["key"] * 3, **options)
+    return BINARY[kind](
+        engine, CostModel(), schemas[0], schemas[1], "key", "key", **options
+    )
+
+
+@pytest.mark.parametrize(
+    "kind,layer",
+    [(kind, layer) for kind, layers in LAYERS.items() for layer in ("default", *layers)],
+)
+def test_every_join_installs_one_tagged_handler(kind, layer):
+    join = build_join(kind, layer)
+    assert fastpath.is_fastpath(vars(join)["handle"])
+    assert not [
+        cls.__name__
+        for cls in type(join).__mro__
+        if cls is not Operator and {"handle", "_handle_tuple"} & set(vars(cls))
+    ]
+
 
 # Eager index and pair-driven propagation, so punctuations reach the sink.
 PUNCTUATED = PJoinConfig(index_building="eager", propagation_mode="push_pairs")

@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import PJoinConfig
 from repro.core.nary import NaryPJoin
 from repro.errors import PlannerError
+from repro.operators import fastpath
 from repro.operators.sink import Sink
 from repro.planner import PlannerSpec
 from repro.punctuations.punctuation import Punctuation
@@ -55,7 +56,7 @@ class TestPlanInstallation:
         self, engine, cheap_cost_model
     ):
         join, _ = build(engine, cheap_cost_model)
-        probe_orders = join.probe_orders  # fastpath captures this list
+        probe_orders = join.probe_orders  # the item handler holds this list
         join.set_plan((2, 1, 0))
         assert join.stream_order == (2, 1, 0)
         assert join.purge_order == (2, 1, 0)
@@ -77,13 +78,16 @@ class TestPlanInstallation:
         assert join.reoptimizer is not None
         assert join.reoptimizer.spec is spec
 
-    def test_adaptive_declines_the_fast_path(self, engine, cheap_cost_model):
+    def test_static_and_adaptive_joins_install_the_same_handler(
+        self, engine, cheap_cost_model
+    ):
         static, _ = build(engine, cheap_cost_model)
         adaptive, _ = build(
             engine, cheap_cost_model, planner=PlannerSpec(mode="adaptive")
         )
-        assert "handle" in vars(static)      # specialized closure installed
-        assert "handle" not in vars(adaptive)
+        handlers = [vars(join)["handle"] for join in (static, adaptive)]
+        assert all(fastpath.is_fastpath(handler) for handler in handlers)
+        assert handlers[0].__code__ is handlers[1].__code__
 
 
 class TestBoundaries:

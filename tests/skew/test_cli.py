@@ -51,14 +51,6 @@ class TestPlannerJobsFallback:
         assert "falling back to a serial run" in err
         assert "--planner adaptive cannot fan out" in err
 
-    def test_no_fastpath_still_hard_errors(self, capsys):
-        code = main(
-            ["figures", "figure6", "--scale", "0.06",
-             "--no-fastpath", "--jobs", "2"]
-        )
-        assert code == 2
-        assert "--no-fastpath" in capsys.readouterr().err
-
 
 class TestGoldenGate:
     def test_default_parameters_match_committed_golden(self):

@@ -158,13 +158,6 @@ class TestPlan:
 
 
 class TestFastpathFlag:
-    def test_demo_runs_without_fastpath(self, capsys):
-        code = main(
-            ["demo", "--tuples", "200", "--no-fastpath"]
-        )
-        assert code == 0
-        assert "XJoin" in capsys.readouterr().out
-
     def test_figures_planner_with_jobs_falls_back_to_serial(self, capsys):
         code = main(
             [
