@@ -92,9 +92,7 @@ class PJoinConfig:
         :class:`~repro.errors.ContractViolationError` (the default);
         ``"quarantine"`` routes the tuple to the operator's dead-letter
         store; ``"repair"`` retracts the offending punctuation and
-        admits the tuple; ``"trust"`` skips the check entirely.  The
-        legacy ``validate_inputs`` spellings ``"raise"``/``"count"``/
-        ``"off"`` are accepted and normalised.
+        admits the tuple; ``"trust"`` skips the check entirely.
     """
 
     purge_threshold: int = 1
@@ -151,11 +149,9 @@ class PJoinConfig:
         if self.n_partitions < 1:
             raise ConfigError(f"n_partitions must be >= 1, got {self.n_partitions}")
         try:
-            normalized = normalize_policy(self.fault_policy)
+            normalize_policy(self.fault_policy)
         except ResilienceError as exc:
             raise ConfigError(str(exc)) from None
-        if normalized != self.fault_policy:
-            object.__setattr__(self, "fault_policy", normalized)
 
     @property
     def eager_purge(self) -> bool:

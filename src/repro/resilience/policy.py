@@ -29,12 +29,8 @@ policy** deciding what happens when the contract is violated:
     retracted promise justified.  Retractions are counted.
 
 ``trust``
-    Skip the check entirely (the pre-resilience ``validate_inputs="off"``).
-    The cheapest mode, and the only sensible one for operators fed by
-    already-validated upstreams.
-
-The legacy ``validate_inputs`` spellings (``raise``/``count``/``off``)
-are accepted and normalised so existing configurations keep working.
+    Skip the check entirely.  The cheapest mode, and the only sensible
+    one for operators fed by already-validated upstreams.
 """
 
 from __future__ import annotations
@@ -48,25 +44,14 @@ TRUST = "trust"
 
 FAULT_POLICIES = (STRICT, QUARANTINE, REPAIR, TRUST)
 
-# Pre-resilience ``validate_inputs`` values map onto the new policies:
-# "raise" hard-failed (strict), "count" tallied and dropped (quarantine
-# without the dead-letter store), "off" skipped the check (trust).
-_LEGACY_ALIASES = {
-    "raise": STRICT,
-    "count": QUARANTINE,
-    "off": TRUST,
-}
-
 
 def normalize_policy(policy: str) -> str:
-    """Return the canonical policy name, accepting legacy spellings.
+    """Return *policy* when it names one of :data:`FAULT_POLICIES`.
 
-    Raises :class:`~repro.errors.ResilienceError` for unknown values.
+    Raises :class:`~repro.errors.ResilienceError` for any other value.
     """
-    canonical = _LEGACY_ALIASES.get(policy, policy)
-    if canonical not in FAULT_POLICIES:
+    if policy not in FAULT_POLICIES:
         raise ResilienceError(
-            f"unknown fault policy {policy!r}; choose one of {FAULT_POLICIES} "
-            f"(legacy spellings {tuple(_LEGACY_ALIASES)} are also accepted)"
+            f"unknown fault policy {policy!r}; choose one of {FAULT_POLICIES}"
         )
-    return canonical
+    return policy

@@ -123,8 +123,7 @@ class ContractValidator:
     operator_name:
         Label used in traces and error messages.
     policy:
-        One of :data:`~repro.resilience.policy.FAULT_POLICIES` (legacy
-        ``validate_inputs`` spellings are normalised).
+        One of :data:`~repro.resilience.policy.FAULT_POLICIES`.
     contracts:
         One contract view per input side.
     dead_letters:

@@ -64,10 +64,10 @@ class TestValidation:
         with pytest.raises(ConfigError):
             PJoinConfig(fault_policy="maybe")
 
-    def test_fault_policy_legacy_spellings_normalise(self):
-        assert PJoinConfig(fault_policy="raise").fault_policy == "strict"
-        assert PJoinConfig(fault_policy="count").fault_policy == "quarantine"
-        assert PJoinConfig(fault_policy="off").fault_policy == "trust"
+    def test_fault_policy_legacy_spellings_rejected(self):
+        for legacy in ("raise", "count", "off"):
+            with pytest.raises(ConfigError):
+                PJoinConfig(fault_policy=legacy)
 
 
 class TestOverrides:

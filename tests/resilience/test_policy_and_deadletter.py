@@ -8,14 +8,7 @@ from repro.resilience.deadletter import (
     REASON_CONTRACT_VIOLATION,
     DeadLetterStore,
 )
-from repro.resilience.policy import (
-    FAULT_POLICIES,
-    QUARANTINE,
-    REPAIR,
-    STRICT,
-    TRUST,
-    normalize_policy,
-)
+from repro.resilience.policy import FAULT_POLICIES, normalize_policy
 
 
 class TestNormalizePolicy:
@@ -24,9 +17,9 @@ class TestNormalizePolicy:
             assert normalize_policy(policy) == policy
 
     def test_legacy_validate_inputs_spellings(self):
-        assert normalize_policy("raise") == STRICT
-        assert normalize_policy("count") == QUARANTINE
-        assert normalize_policy("off") == TRUST
+        for legacy in ("raise", "count", "off"):
+            with pytest.raises(ResilienceError, match="fault policy"):
+                normalize_policy(legacy)
 
     def test_unknown_policy_raises(self):
         with pytest.raises(ResilienceError, match="fault policy"):

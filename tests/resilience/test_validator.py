@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ContractViolationError, PunctuationError
+from repro.errors import ContractViolationError, PunctuationError, ResilienceError
 from repro.punctuations.punctuation import Punctuation
 from repro.resilience.validator import ContractValidator
 from repro.sim.engine import SimulationEngine
@@ -103,8 +103,9 @@ class TestRepair:
 
 
 class TestLegacyAliases:
-    def test_count_means_quarantine(self, engine):
-        assert tracking(engine, "count").policy == "quarantine"
+    def test_legacy_count_is_rejected(self, engine):
+        with pytest.raises(ResilienceError):
+            tracking(engine, "count")
 
     def test_is_default_strict(self, engine):
         validator = tracking(engine, "strict")
