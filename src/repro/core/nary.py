@@ -173,13 +173,6 @@ class NaryPJoin(Operator):
                 *(slot[stream] for stream in range(self.n_inputs))
             )
 
-    def __getstate__(self) -> dict:
-        return fastpath.strip_for_pickle(self.__dict__)
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._install_handler()
-
     @property
     def punctuation_violations(self) -> int:
         """Contract violations seen (counter-compatible alias)."""
@@ -311,6 +304,13 @@ class NaryPJoin(Operator):
             return 0.0
 
         self.handle = fastpath.mark(handle)  # type: ignore[method-assign]
+
+    def __getstate__(self) -> dict:
+        return fastpath.strip_for_pickle(self.__dict__)
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._install_handler()
 
     def _emit_combinations(
         self, tup: Tuple, side: int, match_lists: List[List[PyTuple[Any, ...]]]
