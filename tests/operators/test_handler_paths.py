@@ -55,7 +55,7 @@ LAYERS = {
     "shj": ("traced", "governed", "quarantine"),
     "nary": ("traced", "governed", "quarantine", "adaptive"),
 }
-BINARY = {
+BINARY_JOINS = {
     "pjoin": PJoin,
     "windowed": WindowedPJoin,
     "xjoin": XJoin,
@@ -81,7 +81,7 @@ def build_join(kind, layer):
     schemas = [Schema.of("key", "v", name=f"S{i}") for i in range(3)]
     if kind == "nary":
         return NaryPJoin(engine, CostModel(), schemas, ["key"] * 3, **options)
-    return BINARY[kind](
+    return BINARY_JOINS[kind](
         engine, CostModel(), schemas[0], schemas[1], "key", "key", **options
     )
 
