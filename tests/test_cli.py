@@ -157,7 +157,7 @@ class TestPlan:
         assert "unknown planner preset" in capsys.readouterr().err
 
 
-class TestFastpathFlag:
+class TestPlannerJobsFallback:
     def test_figures_planner_with_jobs_falls_back_to_serial(self, capsys):
         code = main(
             [
