@@ -173,46 +173,8 @@ class NaryPJoin(Operator):
                 *(slot[stream] for stream in range(self.n_inputs))
             )
 
-    @property
-    def punctuation_violations(self) -> int:
-        """Contract violations seen (counter-compatible alias)."""
-        return self.validator.violations
-
-    def _covered_by_others(self, side: int) -> Callable[[Any], bool]:
-        """The n-ary purge probe: all *other* streams' punctuations cover.
-
-        :meth:`_purge_all` applies it, and it drives the
-        punctuation-aware eviction policy, so the policy prefers exactly
-        the tuples the next purge run would reclaim.
-        """
-        covers_by_stream = [
-            self.sides[s].store.covers_value
-            for s in range(self.n_inputs)
-            if s != side
-        ]
-
-        def covered(value: Any) -> bool:
-            return all(covers(value) for covers in covers_by_stream)
-
-        return covered
-
-    def _build_out_schema(self) -> Schema:
-        out = self.schemas[0]
-        for schema in self.schemas[1:]:
-            out = out.concat(schema)
-        return Schema(out.fields, name=self.name + ".out")
-
-    def _compute_out_join_indices(self) -> List[int]:
-        """Propagation constrains the first stream's join column only.
-
-        One constrained column keeps the punctuation exploitable by a
-        downstream group-by (see the binary operator for the rationale);
-        all join columns carry equal values in every result anyway.
-        """
-        return [self.join_indices[0]]
-
     # ------------------------------------------------------------------
-    # Item handling
+    # Item handler (tagged by repro.operators.fastpath)
     # ------------------------------------------------------------------
 
     def _install_handler(self) -> None:
@@ -311,6 +273,48 @@ class NaryPJoin(Operator):
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._install_handler()
+
+    @property
+    def punctuation_violations(self) -> int:
+        """Contract violations seen (counter-compatible alias)."""
+        return self.validator.violations
+
+    def _covered_by_others(self, side: int) -> Callable[[Any], bool]:
+        """The n-ary purge probe: all *other* streams' punctuations cover.
+
+        :meth:`_purge_all` applies it, and it drives the
+        punctuation-aware eviction policy, so the policy prefers exactly
+        the tuples the next purge run would reclaim.
+        """
+        covers_by_stream = [
+            self.sides[s].store.covers_value
+            for s in range(self.n_inputs)
+            if s != side
+        ]
+
+        def covered(value: Any) -> bool:
+            return all(covers(value) for covers in covers_by_stream)
+
+        return covered
+
+    def _build_out_schema(self) -> Schema:
+        out = self.schemas[0]
+        for schema in self.schemas[1:]:
+            out = out.concat(schema)
+        return Schema(out.fields, name=self.name + ".out")
+
+    def _compute_out_join_indices(self) -> List[int]:
+        """Propagation constrains the first stream's join column only.
+
+        One constrained column keeps the punctuation exploitable by a
+        downstream group-by (see the binary operator for the rationale);
+        all join columns carry equal values in every result anyway.
+        """
+        return [self.join_indices[0]]
+
+    # ------------------------------------------------------------------
+    # Item handling
+    # ------------------------------------------------------------------
 
     def _emit_combinations(
         self, tup: Tuple, side: int, match_lists: List[List[PyTuple[Any, ...]]]
