@@ -181,9 +181,10 @@ class NaryPJoin(Operator):
         """Install this join's item handler as ``handle``.
 
         The optional layers present at build are bound in and absent
-        ones left out: the contract check (one ``covers`` probe of the
-        tuple's own side, with the validator deciding only a covered
-        value) and the memory governor.  Hooks are reached through their
+        ones left out, and the tag names them: the contract check and
+        the memory governor.  The check is PJoin's: one ``covers`` probe
+        under ``strict``, the validator for every tuple under
+        ``quarantine`` and ``repair``.  Hooks are reached through their
         owners at call time, so profiler shadows installed after build
         hold.  The handler holds the plan and per-side counter lists;
         :meth:`set_plan` and :meth:`restore_state` mutate them in place.
@@ -199,6 +200,7 @@ class NaryPJoin(Operator):
         engine = self.engine
         validator = self.validator
         check_contract = validator.policy != TRUST
+        strict = validator.policy == STRICT
         governor = self.governor
         probe_orders = self.probe_orders
         side_tuples_in = self.side_tuples_in
@@ -213,7 +215,7 @@ class NaryPJoin(Operator):
             cost = tuple_overhead
             if (
                 check_contract
-                and mine.covers(value)
+                and (not strict or mine.covers(value))
                 and not validator.admit(tup, value, side)
             ):
                 return cost  # quarantined: must not probe or enter the state
@@ -265,7 +267,9 @@ class NaryPJoin(Operator):
                 return self._handle_punctuation(item, port)
             return 0.0
 
-        self.handle = fastpath.mark(handle)  # type: ignore[method-assign]
+        self.handle = fastpath.mark(  # type: ignore[method-assign]
+            handle, resilience=not strict, governor=governor is not None
+        )
 
     def __getstate__(self) -> dict:
         return fastpath.strip_for_pickle(self.__dict__)

@@ -305,7 +305,7 @@ class PJoin(BinaryHashJoin):
 
     def _install_handler(self) -> None:
         """Install this join's item handler as ``handle``."""
-        on_tuple = self._tuple_handler()
+        on_tuple, layers = self._tuple_handler()
 
         def handle(item: Any, port: int) -> float:
             if isinstance(item, Tuple):
@@ -318,17 +318,22 @@ class PJoin(BinaryHashJoin):
                 return self._handle_replica(item)
             return 0.0
 
-        self.handle = fastpath.mark(handle)  # type: ignore[method-assign]
+        self.handle = fastpath.mark(handle, **layers)  # type: ignore[method-assign]
 
-    def _tuple_handler(self) -> Callable[[Tuple, int], float]:
-        """The memory join of one arriving tuple; returns its cost.
+    def _tuple_handler(
+        self,
+    ) -> PyTuple[Callable[[Tuple, int], float], Dict[str, bool]]:
+        """The memory join of one arriving tuple, and its layer flags.
 
         The optional layers present at build are bound in and absent
-        ones left out: the contract check (one ``covers`` probe of the
-        tuple's own side, with the validator deciding only a covered
-        value), the skew sketch and the memory governor.  Hooks are
-        reached through their owners at call time, so profiler shadows
-        installed after build hold.
+        ones left out: the contract check, the skew sketch and the
+        memory governor.  Under ``strict``, the default, the check is
+        one ``covers`` probe of the tuple's own side, with the validator
+        consulted only on a violation; ``quarantine`` and ``repair``
+        hand every tuple to the validator, so their cost shows in the
+        resilience layer.  Hooks are reached through their owners at
+        call time, so profiler shadows installed after build hold.  The
+        flags name the layers bound in (see :func:`fastpath.mark`).
         """
         side0, side1 = self.sides
         ji0, ji1 = self.join_indices
@@ -341,6 +346,7 @@ class PJoin(BinaryHashJoin):
         monitor = self.monitor
         validator = self.validator
         check_contract = validator.policy != TRUST
+        strict = validator.policy == STRICT
         skew = self.skew
         governor = self.governor
 
@@ -354,7 +360,7 @@ class PJoin(BinaryHashJoin):
             cost = tuple_overhead
             if (
                 check_contract
-                and mine.covers(value)
+                and (not strict or mine.covers(value))
                 and not validator.admit(tup, value, side)
             ):
                 return cost  # quarantined: the tuple must not probe or insert
@@ -400,7 +406,12 @@ class PJoin(BinaryHashJoin):
                 governor.release_pins()
             return cost
 
-        return on_tuple
+        layers = {
+            "resilience": not strict,
+            "skew": skew is not None,
+            "governor": governor is not None,
+        }
+        return on_tuple, layers
 
     def _handle_replica(self, replica: HotKeyReplica) -> float:
         """Insert-only admission of a hot-key state replica.

@@ -19,7 +19,7 @@ is a state bounded by the window.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List
+from typing import Any, Callable, Dict, List, Tuple as PyTuple
 
 from repro.core.pjoin import PJoin
 from repro.errors import ConfigError
@@ -54,9 +54,11 @@ class WindowedPJoin(PJoin):
         out["tuples_expired"] = self.tuples_expired
         return out
 
-    def _tuple_handler(self) -> Callable[[Tuple, int], float]:
+    def _tuple_handler(
+        self,
+    ) -> PyTuple[Callable[[Tuple, int], float], Dict[str, bool]]:
         """Expire the probed bucket, then run the PJoin memory join."""
-        memory_join = super()._tuple_handler()
+        memory_join, layers = super()._tuple_handler()
         join_indices = self.join_indices
         purge_scan = self.cost_model.purge_scan_per_tuple
 
@@ -64,7 +66,7 @@ class WindowedPJoin(PJoin):
             expired = self._expire_bucket(1 - side, tup.values[join_indices[side]])
             return memory_join(tup, side) + purge_scan * expired
 
-        return expire_then_join
+        return expire_then_join, {**layers, "window": True}
 
     def _expire_bucket(self, side: int, join_value: Any) -> int:
         """Drop out-of-window entries from the bucket about to be probed.

@@ -3,35 +3,50 @@
 PJoin, NaryPJoin, XJoin and the symmetric hash join each build one
 item handler at construction and install it as ``handle`` on the
 instance, with the optional layers present at build bound in and the
-absent ones left out.  This module tags such handlers with
-``__repro_fastpath__`` so that two checks can tell a join's own
-handler from anything else on the instance: the profiling ``--check``
-gate (a handler is not a leaked profiler shadow) and the benchmark's
-``paper_pjoin`` gate (the join runs its built handler).  It also strips
-the handler from pickled state, since closures cannot be pickled; each
-join rebuilds it in ``__setstate__``.  The module keeps its name
-because the benchmark imports :func:`is_fastpath` from it.
+absent ones left out.  :func:`mark` tags such a handler with the names
+of the optional layers it carries, for three readers:
+
+* the profiling ``--check`` gate, which must tell a join's own handler
+  from a leaked profiler shadow (:func:`has_handler`);
+* pickling, since closures cannot be pickled: :func:`strip_for_pickle`
+  drops the handler and each join rebuilds it in ``__setstate__``;
+* the benchmark's ``paper_pjoin`` gate, which requires the bare memory
+  join of the paper — a handler carrying no optional layer
+  (:func:`is_fastpath`).  That reader is why the module and that
+  function keep their names.
+
+The layer names are ``resilience`` (a fault policy other than the
+join's default: ``strict`` for PJoin and NaryPJoin, ``trust`` for
+XJoin and SHJ), ``governor``, ``skew``, ``relocation`` (XJoin with a
+memory threshold) and ``window`` (WindowedPJoin's expiry).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Optional, Tuple
 
 
-def mark(fn: Callable[..., Any]) -> Callable[..., Any]:
-    """Tag *fn* as a join's built item handler."""
-    fn.__repro_fastpath__ = True  # type: ignore[attr-defined]
+def mark(fn: Callable[..., Any], **layers: bool) -> Callable[..., Any]:
+    """Tag *fn* as a join's item handler; *layers* flags those bound in."""
+    fn.__repro_layers__ = tuple(  # type: ignore[attr-defined]
+        name for name, bound in layers.items() if bound
+    )
     return fn
 
 
+def handler_layers(fn: Any) -> Optional[Tuple[str, ...]]:
+    """The layers tagged on *fn*, or ``None`` if it is no item handler."""
+    return getattr(fn, "__repro_layers__", None)
+
+
 def is_fastpath(fn: Any) -> bool:
-    """Is *fn* a tagged item handler (vs. e.g. a profiler shadow)?"""
-    return bool(getattr(fn, "__repro_fastpath__", False))
+    """Is *fn* an item handler carrying no optional layer?"""
+    return handler_layers(fn) == ()
 
 
-def has_fastpath(op: Any) -> bool:
+def has_handler(op: Any) -> bool:
     """Does *op* carry a tagged ``handle`` on the instance?"""
-    return is_fastpath(vars(op).get("handle"))
+    return handler_layers(vars(op).get("handle")) is not None
 
 
 def strip_for_pickle(state: dict) -> dict:
@@ -41,7 +56,7 @@ def strip_for_pickle(state: dict) -> dict:
     the installed ``handle`` in ``__getstate__`` and rebuild it in
     ``__setstate__``.
     """
-    if is_fastpath(state.get("handle")):
+    if handler_layers(state.get("handle")) is not None:
         state = dict(state)
         del state["handle"]
     return state

@@ -39,9 +39,9 @@ def symmetric_handler(
     at build are bound in and absent ones left out: the contract check
     (any policy but ``trust``; the tables hold no punctuations, so every
     tuple goes to the validator), the memory governor, and *relocate*,
-    XJoin's state relocation after each insert.  Hooks are reached
-    through their owners at call time, so profiler shadows installed
-    after build hold.
+    XJoin's state relocation after each insert; the tag names them.
+    Hooks are reached through their owners at call time, so profiler
+    shadows installed after build hold.
     """
     state0, state1 = join.states
     ji0, ji1 = join.join_indices
@@ -93,7 +93,12 @@ def symmetric_handler(
             return punct_overhead
         return 0.0
 
-    return fastpath.mark(handle)
+    return fastpath.mark(
+        handle,
+        resilience=check_contract,
+        governor=governor is not None,
+        relocation=relocate is not None,
+    )
 
 
 class SymmetricHashJoin(BinaryHashJoin):

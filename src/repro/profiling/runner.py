@@ -369,9 +369,7 @@ def check_profile(
         failures.append("unprofiled run unexpectedly carries a profile")
     if profiled.run.join is not join and _profiler_shadow(profiled.run.join):
         failures.append("profiled join still shadowed after restore()")
-    if fastpath.has_fastpath(join) and not fastpath.has_fastpath(
-        profiled.run.join
-    ):
+    if fastpath.has_handler(join) and not fastpath.has_handler(profiled.run.join):
         failures.append("item handler did not survive profiler restore()")
 
     # (2) profiling must not change the simulation.
