@@ -2,8 +2,8 @@
 
 Every join builds one item handler at construction, whatever layers
 are attached, and tags it with the layers it carries; the first test
-checks that.  The second checks which fault policies hand every tuple
-to the contract validator.
+checks that.  The last checks which fault policies hand every tuple to
+the contract validator.
 
 The figure-5, governed, chaos and skew goldens pin the default PJoin
 and XJoin, governed runs, the chaos scenarios and the sharded skew
@@ -222,41 +222,6 @@ CASES = {
     "nary/quarantine": (nary(with_policy(NARY, "quarantine")), violated_nary),
 }
 
-@pytest.mark.parametrize("policy", ["strict", "quarantine", "repair", "trust"])
-@pytest.mark.parametrize("kind", ["pjoin", "nary"])
-def test_validator_calls_under_each_policy(kind, policy):
-    """On a clean input only quarantine and repair call ``admit``.
-
-    Strict, the default, checks the contract with one inline ``covers``
-    probe and calls the validator only on a violation; trust checks
-    nothing.  Quarantine and repair hand every tuple to the validator,
-    so their cost shows in the profiler's resilience layer.
-    """
-    if kind == "pjoin":
-        factory = pjoin(with_policy(PUNCTUATED, policy))
-        workload = binary_input()
-    else:
-        factory = nary(with_policy(NARY, policy))
-        workload = nary_input()
-    calls = []
-
-    def build(plan, workload):
-        join = factory(plan, workload)
-        admit = join.validator.admit
-
-        def counting_admit(*args):
-            calls.append(args)
-            return admit(*args)
-
-        join.validator.admit = counting_admit
-        return join
-
-    join = run_join_experiment(build, workload, label=policy).join
-    tuples = join.probes if kind == "pjoin" else sum(join.side_tuples_in)
-    assert tuples > 0
-    assert len(calls) == (tuples if policy in ("quarantine", "repair") else 0)
-
-
 TRACED_CASE = "pjoin/traced"
 STRICT_CASE = "pjoin/strict"
 
@@ -324,6 +289,41 @@ def test_handler_matches_golden(case, golden):
 
 def test_strict_violation_raises_once(golden):
     assert summarize_strict() == golden[STRICT_CASE] == {"violations": 1}
+
+
+@pytest.mark.parametrize("policy", ["strict", "quarantine", "repair", "trust"])
+@pytest.mark.parametrize("kind", ["pjoin", "nary"])
+def test_validator_calls_under_each_policy(kind, policy):
+    """On a clean input only quarantine and repair call ``admit``.
+
+    Strict, the default, checks the contract with one inline ``covers``
+    probe and calls the validator only on a violation; trust checks
+    nothing.  Quarantine and repair hand every tuple to the validator,
+    so their cost shows in the profiler's resilience layer.
+    """
+    if kind == "pjoin":
+        factory = pjoin(with_policy(PUNCTUATED, policy))
+        inputs = binary_input()
+    else:
+        factory = nary(with_policy(NARY, policy))
+        inputs = nary_input()
+    calls = []
+
+    def build(plan, workload):
+        join = factory(plan, workload)
+        admit = join.validator.admit
+
+        def counting_admit(*args):
+            calls.append(args)
+            return admit(*args)
+
+        join.validator.admit = counting_admit
+        return join
+
+    join = run_join_experiment(build, inputs, label=policy).join
+    tuples = join.probes if kind == "pjoin" else sum(join.side_tuples_in)
+    assert tuples > 0
+    assert len(calls) == (tuples if policy in ("quarantine", "repair") else 0)
 
 
 if __name__ == "__main__":
