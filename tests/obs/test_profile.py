@@ -165,6 +165,17 @@ class TestInstrumentAndRestore:
         _, profiler = self.run_once(factory, small_workload())
         assert profiler.histograms["purge_lag_ms"].count > 0
 
+    def test_latency_and_purge_lag_recorded_for_nary(self):
+        # The n-ary join has no emit_joins and no purge component table:
+        # its emitter and _purge_all carry the shadows.
+        factory = nary_pjoin_factory(PJoinConfig(purge_threshold=8))
+        run, profiler = self.run_once(factory, nary_workload())
+        assert run.results > 0 and run.join.purge_runs > 0
+        assert profiler.histograms["result_latency_ms"].count == run.results
+        assert profiler.histograms["purge_lag_ms"].count > 0
+        for attr in ("_emit_combinations", "_purge_all", "_handle_punctuation"):
+            assert attr not in vars(run.join), f"leaked shadow: {attr}"
+
     def test_shard_layer_attributed_under_sharding(self):
         factory = pjoin_factory(PJoinConfig(purge_threshold=1))
         _, profiler = self.run_once(factory, small_workload(), shards=2)
