@@ -13,7 +13,10 @@ Subclass contract
 -----------------
 Implement :meth:`handle` (and optionally :meth:`on_idle` /
 :meth:`on_finish`).  Inside a handler, call :meth:`emit` to queue
-output items; return the virtual cost of the work.  ``on_idle`` is
+output items; return the virtual cost of the work.  An outbox holds
+tuples, punctuations and :class:`~repro.tuples.batch.ResultBatch`
+objects (a join's results, one batch per probe); delivery expands a
+batch into tuples for a downstream fed item by item.  ``on_idle`` is
 called whenever the operator runs out of queued input — PJoin and XJoin
 use it to schedule their reactive disk-join stage.  ``on_finish`` is
 called once, after end-of-stream has arrived on every port and the
@@ -30,6 +33,7 @@ from repro.errors import OperatorError
 from repro.punctuations.punctuation import Punctuation
 from repro.sim.costs import CostModel
 from repro.sim.engine import SimulationEngine
+from repro.tuples.batch import ResultBatch
 from repro.tuples.item import END_OF_STREAM
 from repro.tuples.tuple import Tuple
 
@@ -39,8 +43,9 @@ class Operator:
 
     #: Zero-cost operators that take a whole outbox in one call (the
     #: sink, the shard merger) set this and implement :meth:`accept_batch`;
-    #: ``_deliver`` then skips the per-item push/queue/pump cycle while
-    #: keeping every counter and timestamp byte-identical to per-item delivery.
+    #: ``_deliver`` then skips the per-item push/queue/pump cycle, and
+    #: hands result batches over unexpanded, while keeping every counter
+    #: and timestamp byte-identical to per-item delivery.
     _accepts_batches = False
 
     def __init__(
@@ -200,6 +205,14 @@ class Operator:
         tuples_out = 0
         for item in outbox:
             cls = item.__class__
+            if cls is ResultBatch:
+                # An operator fed item by item gets the batch's results
+                # as tuples; with no downstream they are only counted.
+                tuples_out += item.count
+                if downstream is not None:
+                    for tup in item.tuples(now):
+                        downstream.push(tup, port)
+                continue
             if cls is Tuple or isinstance(item, Tuple):
                 tuples_out += 1
                 if item.ts != now:
@@ -248,7 +261,8 @@ class Operator:
         """Take a whole upstream outbox on *port* at *now*; return (tuples, puncts).
 
         Only called when :attr:`_accepts_batches` is set.  Must update
-        the same counters the per-item path would.
+        the same counters the per-item path would, counting each result
+        of a :class:`~repro.tuples.batch.ResultBatch` as one tuple.
         """
         raise NotImplementedError
 

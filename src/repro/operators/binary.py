@@ -17,6 +17,7 @@ from repro.sim.costs import CostModel
 from repro.sim.engine import SimulationEngine
 from repro.storage.hash_table import PartitionedHashTable
 from repro.storage.partition import StateEntry
+from repro.tuples.batch import ResultBatch
 from repro.tuples.schema import Schema
 from repro.tuples.tuple import Tuple
 
@@ -107,21 +108,19 @@ class BinaryHashJoin(Operator):
         """Emit the joins of an arriving tuple with many state entries.
 
         The memory join's inner loop: one probe can match hundreds of
-        entries, so the per-result constant factor (attribute lookups,
-        method dispatch) is hoisted out of the loop here.
+        entries, so the results go out as one :class:`ResultBatch`,
+        built into tuples only where a consumer needs them.  The batch
+        holds a snapshot of *entries*, which may be a live bucket list.
         """
-        out_schema = self.out_schema
-        now = self.engine.now
-        outbox = self._outbox
-        fresh = Tuple.fresh
-        new_values = new_tuple.values
-        if new_side == LEFT:
-            for entry in entries:
-                outbox.append(fresh(out_schema, new_values + entry.tup.values, now))
-        else:
-            for entry in entries:
-                outbox.append(fresh(out_schema, entry.tup.values + new_values, now))
-        self.results_produced += len(entries)
+        if entries:
+            matches = tuple(entries)
+            self._outbox.append(
+                ResultBatch(
+                    self.out_schema, new_tuple.values, matches, len(matches),
+                    new_side == LEFT,
+                )
+            )
+            self.results_produced += len(matches)
 
     def counters(self) -> dict:
         out = super().counters()
