@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import os
 import platform
@@ -378,6 +379,10 @@ def run_case(case: BenchCase, scale: float, repeat: int = 1) -> Dict[str, Any]:
     best: Optional[Dict[str, Any]] = None
     for _ in range(max(1, repeat)):
         run = case.prepare(scale)
+        # Pay off the garbage collector's debt from earlier work in this
+        # process first: a full collection it triggers inside the timed
+        # run costs more than a short case itself.
+        gc.collect()
         start = time.perf_counter()
         outcome = run()
         wall = time.perf_counter() - start
