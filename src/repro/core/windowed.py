@@ -12,9 +12,11 @@ falls out naturally: window expiry decrements punctuation index counts
 just like purging does, so a punctuation whose last matching tuples
 expired becomes propagable before any purge run touches them.
 
-The windowed operator keeps its state memory-resident (no relocation),
-which is the regime window joins are designed for — their whole point
-is a state bounded by the window.
+The windowed operator keeps its state memory-resident (no relocation,
+no memory governor), which is the regime window joins are designed for
+— their whole point is a state bounded by the window.  Expiry cuts each
+value chain at its first in-window entry, which needs every chain warm
+and in arrival order; a governor's demoted entries are neither.
 """
 
 from __future__ import annotations
@@ -45,6 +47,11 @@ class WindowedPJoin(PJoin):
             raise ConfigError(
                 "WindowedPJoin keeps its state memory-resident; "
                 "set memory_threshold=None"
+            )
+        if self.governor is not None:
+            raise ConfigError(
+                "WindowedPJoin keeps its state memory-resident; "
+                "build it without a governor"
             )
         self.window_ms = window_ms
         self.tuples_expired = 0

@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import PJoinConfig
 from repro.core.windowed import WindowedPJoin
 from repro.errors import ConfigError
+from repro.memory.budget import GovernorSpec
 from repro.operators.sink import Sink
 from repro.punctuations.punctuation import Punctuation
 from repro.tuples.schema import Schema
@@ -40,6 +41,16 @@ class TestValidation:
     def test_memory_threshold_unsupported(self, joined):
         with pytest.raises(ConfigError):
             joined(config=PJoinConfig(memory_threshold=100))
+
+    def test_governor_unsupported(self, engine, cheap_cost_model):
+        # Expiry cuts each warm value chain at its first in-window entry;
+        # a governor's demoted entries would never expire and would come
+        # back behind newer ones, so governed runs emitted stale pairs.
+        with pytest.raises(ConfigError, match="without a governor"):
+            WindowedPJoin(
+                engine, cheap_cost_model, SCHEMA_A, SCHEMA_B, "key", "key",
+                window_ms=10.0, governor=GovernorSpec(budget_tuples=8),
+            )
 
 
 class TestWindowSemantics:

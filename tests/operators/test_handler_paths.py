@@ -52,7 +52,7 @@ GOLDEN = Path(__file__).resolve().parents[1] / "goldens" / "handler_paths.json"
 # join -> the optional layers it supports
 LAYERS = {
     "pjoin": ("traced", "governed", "quarantine", "skew"),
-    "windowed": ("traced", "governed", "quarantine", "skew"),
+    "windowed": ("traced", "quarantine", "skew"),
     "xjoin": ("traced", "governed", "quarantine"),
     "shj": ("traced", "governed", "quarantine"),
     "nary": ("traced", "governed", "quarantine", "adaptive"),
