@@ -200,6 +200,7 @@ def restore_index_into(index: PunctuationIndex, snap: Dict[str, Any]) -> None:
     index._indexed_pids = set(snap["indexed_pids"])
     index._cursor = snap["cursor"]
     index.build_runs = snap["build_runs"]
+    index.tagged = sum(index._counts.values())
 
 
 # ---------------------------------------------------------------------------

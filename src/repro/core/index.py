@@ -15,16 +15,27 @@ re-evaluates a (tuple, punctuation) pair:
 * purging a tuple decrements its punctuation's count; when a count
   reaches zero, Theorem 1 says the punctuation is safe to propagate.
 
+A run need not walk the state to find those tuples.  When the new
+punctuations are constants and enumerations (see
+:meth:`~repro.punctuations.store.PunctuationStore.values_since`),
+:meth:`PunctuationIndex.build_named` visits only the entries holding a
+value they name.  The index keeps the number of tagged entries, so the
+run still reports the full walk's ``scanned`` and ``unindexed`` counts
+to the cost model; other patterns take the walk of
+:meth:`PunctuationIndex.build`.
+
 One :class:`PunctuationIndex` exists per input stream; it indexes that
 stream's own state against that stream's own punctuations.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple as PyTuple
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Set, Tuple as PyTuple
 
 from repro.punctuations.punctuation import Punctuation
 from repro.punctuations.store import PunctuationStore
+from repro.storage.hash_table import PartitionedHashTable
 from repro.storage.partition import StateEntry
 
 
@@ -53,6 +64,8 @@ class PunctuationIndex:
         self._indexed_pids: Set[int] = set()
         self._cursor = 0
         self.build_runs = 0
+        # Entries tagged with a live pid: the sum of the counts.
+        self.tagged = 0
 
     # ------------------------------------------------------------------
     # Building
@@ -93,6 +106,44 @@ class PunctuationIndex:
                 scanned += 1
                 if entry.pid is None:
                     unindexed += 1
+        self.tagged += newly_indexed
+        self.build_runs += 1
+        return IndexBuildResult(scanned, unindexed, len(fresh), newly_indexed)
+
+    def build_named(
+        self,
+        table: PartitionedHashTable,
+        purge_buffer: List[StateEntry],
+        value_type: Optional[type],
+    ) -> IndexBuildResult:
+        """:meth:`build` over the state of *table* and *purge_buffer*.
+
+        When the fresh punctuations name their values, only entries
+        holding one are visited, and ``scanned`` and ``unindexed`` come
+        from the state size and :attr:`tagged`; otherwise this walks the
+        state.  *value_type* is the join field's declared type.  Tags,
+        counts and the returned statistics equal the walk's.
+        """
+        named = self.store.values_since(self._cursor, value_type)
+        if named is None:
+            return self.build(chain(table.iter_all(), purge_buffer))
+        fresh = self.store.since(self._cursor)
+        self._cursor = self.store.next_id
+        counts = self._counts
+        for pid, _punct in fresh:
+            counts.setdefault(pid, 0)
+            self._indexed_pids.add(pid)
+        buffered = [entry for entry in purge_buffer if entry.join_value in named]
+        newly_indexed = 0
+        for entry in chain(table.iter_values(named), buffered):
+            if entry.pid is None:
+                pid = named[entry.join_value]
+                entry.pid = pid
+                counts[pid] += 1
+                newly_indexed += 1
+        scanned = table.total_count + len(purge_buffer)
+        unindexed = scanned - self.tagged
+        self.tagged += newly_indexed
         self.build_runs += 1
         return IndexBuildResult(scanned, unindexed, len(fresh), newly_indexed)
 
@@ -107,6 +158,7 @@ class PunctuationIndex:
         count = self._counts.get(entry.pid)
         if count is not None:
             self._counts[entry.pid] = count - 1
+            self.tagged -= 1
 
     # ------------------------------------------------------------------
     # Propagation support
@@ -132,8 +184,11 @@ class PunctuationIndex:
         return result
 
     def on_punctuation_removed(self, pid: int) -> None:
-        """Forget a punctuation once it has been propagated."""
-        self._counts.pop(pid, None)
+        """Forget a punctuation once it has been propagated or retracted.
+
+        A retraction then untags the entries that carried *pid*.
+        """
+        self.tagged -= self._counts.pop(pid, 0)
         self._indexed_pids.discard(pid)
 
     @property

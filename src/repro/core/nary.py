@@ -30,6 +30,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple as PyTuple
 from repro.core.config import INDEX_EAGER, PROPAGATE_OFF, PJoinConfig
 from repro.core.monitor import Monitor
 from repro.core.propagation import run_propagation
+from repro.core.purge import PurgeCursor
 from repro.core.state import JoinStateSide
 from repro.errors import ConfigError, OperatorError
 from repro.memory.budget import GovernorSpec
@@ -88,6 +89,17 @@ class NaryPJoin(Operator):
                 schema, field, self.config.n_partitions, side_name=f"input{i}"
             )
             for i, (schema, field) in enumerate(zip(schemas, join_fields))
+        ]
+        # Each side's purge cursor into every other store.  With
+        # on-the-fly dropping a tuple enters a state only while some
+        # other store does not cover it, so nothing is ever noted.
+        self._purge_cursors = [
+            PurgeCursor(
+                victim,
+                [side.store for side in self.sides if side is not victim],
+                by_value=self.config.on_the_fly_drop,
+            )
+            for victim in self.sides
         ]
         self.validator = ContractValidator.for_sides(
             engine, name, self.config.fault_policy, self.sides
@@ -377,19 +389,25 @@ class NaryPJoin(Operator):
         Scans the sides in plan order; the removal set is the same
         under every order (coverage depends only on punctuation
         stores), so the plan shifts purge timing costs, never results.
+        A side's cursor hands out the values that punctuations added to
+        the other stores since its last run name: a value becomes
+        covered by all other streams when the last of them names it.
         """
         scanned = 0
         removed_total = 0
         for side in self.purge_order:
             victim = self.sides[side]
             scanned += victim.memory_size
+            candidates = self._purge_cursors[side].take()
             if any(
                 len(self.sides[s].store) == 0
                 for s in range(self.n_inputs)
                 if s != side
             ):
                 continue
-            removed = victim.table.remove_where(self._covered_by_others(side))
+            removed = victim.table.remove_where(
+                self._covered_by_others(side), candidates
+            )
             for entry in removed:
                 victim.discard_entry(entry)
             removed_total += len(removed)
@@ -403,7 +421,7 @@ class NaryPJoin(Operator):
         for side in self.sides:
             if side.index.pending_unindexed_punctuations == 0:
                 continue
-            result = side.index.build(side.iter_all_entries())
+            result = side.build_index()
             cost += self.cost_model.index_build_cost(
                 result.scanned, result.unindexed, result.fresh_punctuations
             )
@@ -472,6 +490,8 @@ class NaryPJoin(Operator):
 
         for side, side_snap in zip(self.sides, snap["sides"]):
             snaplib.restore_side_into(side, side_snap)
+        for cursor in self._purge_cursors:
+            cursor.reset()
         snaplib.restore_attrs(self.monitor, snap["monitor"])
         snaplib.restore_validator_into(self.validator, snap["validator"])
         snaplib.restore_attrs(self, snap["counters"])

@@ -35,7 +35,7 @@ from repro.core.config import (
 from repro.core.events import Event, PropagateRequestEvent, StreamEmptyEvent
 from repro.core.monitor import Monitor
 from repro.core.propagation import run_propagation
-from repro.core.purge import PurgeResult, purge_side
+from repro.core.purge import PurgeCursor, PurgeResult, purge_side
 from repro.core.registry import EventListenerRegistry, default_registry_for
 from repro.core.state import JoinStateSide
 from repro.errors import ConfigError, OperatorError
@@ -149,6 +149,14 @@ class PJoin(BinaryHashJoin):
         ]
         # Keep the inherited helpers pointed at the real tables.
         self.states = [self.sides[0].table, self.sides[1].table]
+        # Each side's purge cursor into the opposite store.
+        self._purge_cursors = [
+            PurgeCursor(
+                self.sides[side], [self.sides[1 - side].store],
+                by_value=self.config.on_the_fly_drop,
+            )
+            for side in (0, 1)
+        ]
         # The punctuation-contract validator applies the configured
         # fault policy to every arriving tuple (resilience layer).
         self.validator = ContractValidator.for_sides(
@@ -349,6 +357,7 @@ class PJoin(BinaryHashJoin):
         strict = validator.policy == STRICT
         skew = self.skew
         governor = self.governor
+        cursors = self._purge_cursors
 
         def on_tuple(tup: Tuple, side: int) -> float:
             if side == 0:
@@ -385,7 +394,7 @@ class PJoin(BinaryHashJoin):
             # this value, no future opposite tuple can match it — the
             # tuple need not enter the state at all.  It must still be
             # kept when the opposite bucket has a disk portion it has not
-            # joined with.
+            # joined with; the next purge run then tests its value.
             dropped = False
             if on_the_fly_drop:
                 cost += drop_check
@@ -393,6 +402,8 @@ class PJoin(BinaryHashJoin):
                     if other.table.partition_for(value, value_hash).disk_count == 0:
                         dropped = True
                         self.tuples_dropped_on_fly += 1
+                    else:
+                        cursors[side].note(value)
             if not dropped:
                 mine.insert(tup, value, engine.now, value_hash)
                 self.insertions += 1
@@ -421,12 +432,14 @@ class PJoin(BinaryHashJoin):
         never probe (the home shard already produced those pairs),
         never pass the contract validator (they are state copies, not
         stream arrivals) and fire no monitor events; they simply join
-        the build side's state and pay one insert.
+        the build side's state and pay one insert.  Their value may be
+        covered already, so the next purge run tests it.
         """
         tup = replica.tup
         value = self.join_value(tup, 1)
         value_hash = stable_hash(value)
         self.sides[1].insert(tup, value, self.engine.now, value_hash)
+        self._purge_cursors[1].note(value)
         self.insertions += 1
         self.replica_inserts += 1
         return self.cost_model.insert
@@ -462,7 +475,10 @@ class PJoin(BinaryHashJoin):
             tracer.begin(now, self.name, "purge")
         total = PurgeResult()
         for side in (0, 1):
-            result = purge_side(self.sides[side], self.sides[self.other(side)], now)
+            result = purge_side(
+                self.sides[side], self.sides[self.other(side)], now,
+                self._purge_cursors[side],
+            )
             if tracer is not None:
                 tracer.record(
                     now, self.name, "hash_purge",
@@ -731,7 +747,7 @@ class PJoin(BinaryHashJoin):
         for side in self.sides:
             if side.index.pending_unindexed_punctuations == 0:
                 continue
-            result = side.index.build(side.iter_all_entries())
+            result = side.build_index()
             if tracer is not None:
                 tracer.record(
                     self.engine.now, self.name, "index_build",
@@ -859,7 +875,8 @@ class PJoin(BinaryHashJoin):
 
         Sides, stores and tables are mutated rather than replaced so
         governor registrations, validator contracts and the ``states``
-        alias keep pointing at live objects.
+        alias keep pointing at live objects.  The purge cursors start
+        over, so the next run tests every live punctuation's values.
         """
         from repro.checkpoint import snapshot as snaplib
 
@@ -867,6 +884,8 @@ class PJoin(BinaryHashJoin):
             raise ConfigError(f"{self.name}: cannot checkpoint the skew layer")
         for side, side_snap in zip(self.sides, snap["sides"]):
             snaplib.restore_side_into(side, side_snap)
+        for cursor in self._purge_cursors:
+            cursor.reset()
         snaplib.restore_attrs(self.monitor, snap["monitor"])
         snaplib.restore_validator_into(self.validator, snap["validator"])
         self._last_full_disk_join = snap["last_full_disk_join"]

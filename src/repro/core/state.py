@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterator, List, Optional, Tuple as PyTuple
 
-from repro.core.index import PunctuationIndex
+from repro.core.index import IndexBuildResult, PunctuationIndex
 from repro.punctuations.punctuation import Punctuation
 from repro.punctuations.store import PunctuationStore, is_join_exploitable
 from repro.storage.hash_table import PartitionedHashTable
@@ -127,6 +127,10 @@ class JoinStateSide:
                 entry.pid = None
         return len(doomed)
 
+    def build_index(self) -> IndexBuildResult:
+        """One Index-Build run over this side's whole state."""
+        return self.index.build_named(self.table, self.purge_buffer, self.join_dtype)
+
     # ------------------------------------------------------------------
     # Purge bookkeeping
     # ------------------------------------------------------------------
@@ -168,6 +172,11 @@ class JoinStateSide:
         """
         yield from self.table.iter_all()
         yield from self.purge_buffer
+
+    @property
+    def join_dtype(self) -> Optional[type]:
+        """The join field's declared type (``None`` when untyped)."""
+        return self.schema.fields[self.store.join_index].dtype
 
     @property
     def memory_size(self) -> int:

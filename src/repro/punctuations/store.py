@@ -16,7 +16,8 @@ set with two efficiency properties the join relies on:
 * every stored punctuation gets a stable, monotonically increasing id
   equal to its arrival position, so components (state purge, index
   building) can keep cheap cursors for "punctuations that arrived since
-  I last ran".
+  I last ran", and :meth:`PunctuationStore.values_since` names the join
+  values those punctuations cover, so they search the state by value.
 
 The store also implements the paper's prefix-consistency assumption
 checker: for punctuations :math:`p_i` arriving before :math:`p_j`, the
@@ -310,6 +311,38 @@ class PunctuationStore:
             if punct is not None:
                 result.append((pid, punct))
         return result
+
+    def values_since(
+        self, cursor: int, value_type: Optional[type]
+    ) -> Optional[Dict[Any, int]]:
+        """The join values that live punctuations with id >= *cursor* name.
+
+        Maps every constant and enumeration member of those
+        punctuations to the earliest id naming it.  A state whose join
+        field is declared *value_type* can then be searched by value
+        instead of scanned.  Returns ``None`` when it cannot: one of
+        the patterns is a range, wildcard or other pattern, or
+        *value_type* is not ``int`` or ``str``, or a value is not
+        exactly of that type.  ``stable_hash`` puts equal values of
+        different types (``1`` and ``1.0``) in different buckets.
+        """
+        if value_type is not int and value_type is not str:
+            return None
+        named: Dict[Any, int] = {}
+        join_index = self.join_index
+        for pid, punct in self.since(cursor):
+            pattern = punct.patterns[join_index]
+            if isinstance(pattern, Constant):
+                values: Any = (pattern.value,)
+            elif isinstance(pattern, EnumerationList):
+                values = pattern.values
+            else:
+                return None
+            for value in values:
+                if type(value) is not value_type:
+                    return None
+                named.setdefault(value, pid)
+        return named
 
     @property
     def next_id(self) -> int:

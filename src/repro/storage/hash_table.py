@@ -9,7 +9,17 @@ seeded experiment produces the identical event trace every run.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple as PyTuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple as PyTuple,
+)
 
 from repro.errors import StorageError
 from repro.storage.partition import HybridPartition, StateEntry
@@ -146,24 +156,59 @@ class PartitionedHashTable:
         self.memory_count -= len(removed)
         return removed
 
-    def remove_where(self, covered: Callable[[Any], bool]) -> List[StateEntry]:
+    def remove_where(
+        self,
+        covered: Callable[[Any], bool],
+        candidates: Optional[Iterable[Any]] = None,
+    ) -> List[StateEntry]:
         """Drop and return the entries whose join value *covered* accepts.
 
         *covered* is called once per distinct join value of each
         bucket's memory portion.  Governor-demoted cold entries are
         swept too: they are logically memory-resident, so a purge that
         covers them reclaims them without ever faulting them back in.
+
+        Given *candidates*, the caller vouches that no other join value
+        is covered: only the candidates' buckets are visited and only
+        the candidates are tested.  The candidates must hash like the
+        stored values (see :meth:`PunctuationStore.values_since
+        <repro.punctuations.store.PunctuationStore.values_since>`).
+        Either way the entries come out in the full scan's order:
+        buckets ascending, then each bucket's memory portion in dict
+        order, then its cold runs in demotion order.
         """
+        if candidates is None:
+            targets = [(partition, None) for partition in self.partitions]
+        else:
+            grouped = self._group_by_partition(candidates)
+            targets = [(self.partitions[i], grouped[i]) for i in sorted(grouped)]
         removed: List[StateEntry] = []
-        for partition in self.partitions:
-            from_memory = partition.remove_memory_where(covered)
+        for partition, values in targets:
+            from_memory = partition.remove_memory_where(covered, values)
             self.memory_count -= len(from_memory)
             removed.extend(from_memory)
             if partition.cold_count:
-                from_cold = partition.remove_cold_where(covered)
+                from_cold = partition.remove_cold_where(covered, values)
                 self.cold_count -= len(from_cold)
                 removed.extend(from_cold)
         return removed
+
+    def iter_values(self, values: Iterable[Any]) -> Iterator[StateEntry]:
+        """Every entry (memory, cold, disk) whose join value is in *values*.
+
+        Visits only the values' buckets, so *values* must hash like the
+        stored values, as for :meth:`remove_where`'s candidates.
+        """
+        for index, bucket_values in self._group_by_partition(values).items():
+            yield from self.partitions[index].iter_values(bucket_values)
+
+    def _group_by_partition(self, values: Iterable[Any]) -> Dict[int, Set[Any]]:
+        """*values* by the flat index of the bucket each hashes to."""
+        grouped: Dict[int, Set[Any]] = {}
+        index_for = self.partition_index_for
+        for value in values:
+            grouped.setdefault(index_for(stable_hash(value)), set()).add(value)
+        return grouped
 
     def remove_disk_where(
         self, partition: HybridPartition, covered: Callable[[Any], bool]

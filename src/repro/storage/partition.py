@@ -35,7 +35,7 @@ code that rebuilds a portion by hand calls :meth:`HybridPartition.recount`.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple as PyTuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple as PyTuple
 
 from repro.tuples.tuple import Tuple
 
@@ -156,15 +156,25 @@ class HybridPartition:
         self.memory_count -= len(entries)
         return entries
 
-    def remove_memory_where(self, covered: Callable[[Any], bool]) -> List[StateEntry]:
+    def remove_memory_where(
+        self, covered: Callable[[Any], bool], values: Optional[Set[Any]] = None
+    ) -> List[StateEntry]:
         """Drop and return the entries of every join value *covered* accepts.
 
         One ``covered`` call per distinct value; a covered value's whole
         list goes, in dict order, and kept lists stay where they are.
+        Given *values*, only those of them held here are tested.
         """
         memory = self.memory
+        if values is None:
+            doomed = [value for value in memory if covered(value)]
+        else:
+            doomed = [value for value in values if value in memory and covered(value)]
+            if len(doomed) > 1:
+                wanted = set(doomed)
+                doomed = [value for value in memory if value in wanted]
         removed: List[StateEntry] = []
-        for value in [value for value in memory if covered(value)]:
+        for value in doomed:
             removed.extend(memory.pop(value))
         self.memory_count -= len(removed)
         return removed
@@ -218,11 +228,14 @@ class HybridPartition:
         for _value, entries in self.cold:
             yield from entries
 
-    def remove_cold_where(self, covered: Callable[[Any], bool]) -> List[StateEntry]:
+    def remove_cold_where(
+        self, covered: Callable[[Any], bool], values: Optional[Set[Any]] = None
+    ) -> List[StateEntry]:
         """Drop and return cold entries whose join value *covered* accepts.
 
         One ``covered`` call per distinct value; removed entries come
-        out in demotion order and kept runs stay in place.
+        out in demotion order and kept runs stay in place.  Given
+        *values*, only those of them are tested.
         """
         verdicts: Dict[Any, bool] = {}
         removed: List[StateEntry] = []
@@ -231,7 +244,9 @@ class HybridPartition:
             value = run[0]
             verdict = verdicts.get(value)
             if verdict is None:
-                verdict = verdicts[value] = covered(value)
+                verdict = verdicts[value] = (
+                    values is None or value in values
+                ) and covered(value)
             if verdict:
                 removed.extend(run[1])
             else:
@@ -281,6 +296,18 @@ class HybridPartition:
         removed, self.disk = _split_by_value(self.disk, covered)
         self.disk_count -= len(removed)
         return removed
+
+    def iter_values(self, values: Set[Any]) -> Iterator[StateEntry]:
+        """Every entry (memory, cold or disk) whose join value is in *values*."""
+        memory = self.memory
+        for value in values:
+            yield from memory.get(value, ())
+        for value, entries in self.cold:
+            if value in values:
+                yield from entries
+        for entry in self.disk:
+            if entry.join_value in values:
+                yield entry
 
     def record_probe(self, now: float) -> None:
         """Record a stage-2 probe of this disk portion at virtual *now*."""
