@@ -121,12 +121,3 @@ class Tuple:
             for name, value in zip(self.schema.field_names, self.values)
         )
         return f"Tuple({pairs}, ts={self.ts:g})"
-
-
-def join_tuples(left: Tuple, right: Tuple, out_schema: Schema, ts: float) -> Tuple:
-    """Concatenate *left* and *right* into a result tuple of *out_schema*.
-
-    The result timestamp is the (virtual) time the join produced it, not
-    either input's arrival time.
-    """
-    return Tuple.fresh(out_schema, left.values + right.values, ts)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SchemaError
 from repro.tuples.schema import Field, Schema
-from repro.tuples.tuple import Tuple, join_tuples
+from repro.tuples.tuple import Tuple
 
 
 @pytest.fixture
@@ -70,14 +70,3 @@ class TestTuple:
 
     def test_repr_shows_fields(self, schema):
         assert "key=1" in repr(Tuple(schema, (1, "a")))
-
-
-class TestJoinTuples:
-    def test_concatenates_values_with_result_timestamp(self, schema):
-        other = Schema([Field("key", int), Field("v", int)], name="T")
-        out = schema.concat(other)
-        left = Tuple(schema, (1, "a"), ts=1.0)
-        right = Tuple(other, (1, 7), ts=2.0)
-        result = join_tuples(left, right, out, ts=5.0)
-        assert result.values == (1, "a", 1, 7)
-        assert result.ts == 5.0
