@@ -21,9 +21,9 @@ Run:
 import random
 
 from repro import QueryPlan, Schema, Sink, Tuple
+from repro.obs import Tracer
 from repro.operators.dupelim import DuplicateElimination, PunctuationSort
 from repro.punctuations.derive import OrderedArrivalPunctuator, annotate_schedule
-from repro.sim.trace import Tracer
 
 LOG_SCHEMA = Schema.of("epoch", "event_id", name="Log")
 

@@ -13,7 +13,6 @@ and independent of Python interpreter speed.
 from repro.sim.engine import SimulationEngine
 from repro.sim.arrivals import PoissonProcess, FixedIntervalProcess, ArrivalProcess
 from repro.sim.costs import CostModel
-from repro.sim.trace import Tracer, TraceEvent
 
 __all__ = [
     "SimulationEngine",
@@ -21,6 +20,4 @@ __all__ = [
     "PoissonProcess",
     "FixedIntervalProcess",
     "CostModel",
-    "Tracer",
-    "TraceEvent",
 ]

@@ -5,7 +5,7 @@ from repro.core.pjoin import PJoin
 from repro.operators.sink import Sink
 from repro.query.plan import QueryPlan
 from repro.sim.costs import CostModel
-from repro.sim.trace import TraceEvent, Tracer, trace_hook
+from repro.obs.trace import TraceEvent, Tracer, trace_hook
 from repro.workloads.generator import generate_workload
 
 
