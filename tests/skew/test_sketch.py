@@ -95,11 +95,6 @@ class MinScanSketch:
             key=lambda item: (-item[1], repr(item[0])),
         )
 
-    def share(self, value: Any, hash_value: Optional[int] = None) -> float:
-        if self.total == 0:
-            return 0.0
-        return self.estimate(value, hash_value) / self.total
-
     def is_exact(self) -> bool:
         return self.evictions == 0
 
@@ -159,7 +154,9 @@ UNSEEN = "never observed"
 
 
 @st.composite
-def sketch_runs(draw: Any) -> Tuple[Tuple[int, int, int], List[Any], List[Tuple[Any, int, bool]]]:
+def sketch_runs(draw: Any) -> Tuple[Tuple[int, int, int], List[Tuple[Any, int, bool]]]:
+    """A sketch geometry and steps ``(value, count, query after)`` whose
+    values repeat, drawn from a pool."""
     geometry = (
         draw(st.integers(1, 40)),
         draw(st.sampled_from([1, 7, 64, 1024])),
@@ -178,7 +175,7 @@ def sketch_runs(draw: Any) -> Tuple[Tuple[int, int, int], List[Any], List[Tuple[
         min_size=length,
         max_size=length,
     ))
-    return geometry, pool, steps
+    return geometry, steps
 
 
 class TestConfig:
@@ -281,7 +278,7 @@ class TestAgainstMinScanReference:
     @settings(max_examples=300, deadline=None)
     @given(sketch_runs())
     def test_matches_reference_after_every_observation(self, run):
-        geometry, pool, steps = run
+        geometry, steps = run
         sketch = FrequencySketch(*geometry)
         reference = MinScanSketch(*geometry)
         seen = []
