@@ -23,6 +23,7 @@ join); the binary operator remains the fully-featured one.
 
 from __future__ import annotations
 
+from functools import partial
 from math import prod
 from operator import itemgetter
 from typing import Any, Callable, List, Optional, Sequence, Tuple as PyTuple
@@ -46,6 +47,16 @@ from repro.storage.hash_table import stable_hash
 from repro.tuples.batch import ResultBatch
 from repro.tuples.schema import Schema
 from repro.tuples.tuple import Tuple
+
+
+def _covered_by_all(
+    covers_by_stream: Sequence[Callable[[Any], bool]], value: Any
+) -> bool:
+    """True when every probe in *covers_by_stream* covers *value*."""
+    for covers in covers_by_stream:
+        if not covers(value):
+            return False
+    return True
 
 
 class NaryPJoin(Operator):
@@ -308,11 +319,9 @@ class NaryPJoin(Operator):
             for s in range(self.n_inputs)
             if s != side
         ]
-
-        def covered(value: Any) -> bool:
-            return all(covers(value) for covers in covers_by_stream)
-
-        return covered
+        # A partial over a module-level function, not a closure: the
+        # governor keeps the probe, and a governed join must pickle.
+        return partial(_covered_by_all, covers_by_stream)
 
     def _build_out_schema(self) -> Schema:
         out = self.schemas[0]

@@ -8,6 +8,7 @@
 """
 
 import math
+import pickle
 from collections import Counter
 from itertools import product
 
@@ -173,6 +174,40 @@ def test_nary_governed_matches_ungoverned():
     tight, join = nary_multiset(schedules, GovernorSpec(8.0))
     assert base == tight == expected
     assert join.counters()["governor.spills"] > 0
+
+
+def test_governed_nary_join_pickles():
+    """A parallel sweep ships each finished run back pickled.
+
+    The governor keeps every side's purge probe, so the probe must not
+    be a closure; after the round trip it must test the restored
+    join's own punctuation stores.
+    """
+    from repro.experiments.harness import run_nary_experiment
+    from repro.planner import get_preset
+    from repro.workloads.nary import generate_nary_workload
+
+    spec = get_preset("nary_drift").with_overrides(
+        n_tuples_per_stream=200, seed=3
+    )
+    with governed(GovernorSpec(budget_tuples=100)):
+        run = run_nary_experiment(
+            generate_nary_workload(spec),
+            config=PJoinConfig(purge_threshold=8),
+        )
+    restored = pickle.loads(pickle.dumps(run.join))
+    assert restored.counters() == run.join.counters()
+    values = range(-5, 300)
+    for side, registration in enumerate(restored.governor._sides):
+        original = run.join.governor._sides[side].covered_by
+        probe = registration.covered_by
+        assert [probe(v) for v in values] == [original(v) for v in values]
+        stores = {id(covers.__self__) for covers in probe.args[0]}
+        assert stores == {
+            id(restored.sides[s].store)
+            for s in range(restored.n_inputs)
+            if s != side
+        }
 
 
 # ----------------------------------------------------------------------
