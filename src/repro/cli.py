@@ -46,7 +46,6 @@ Examples
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 from pathlib import Path
@@ -58,13 +57,11 @@ from repro.errors import ConfigError, RecoveryError
 from repro.experiments.ablations import ALL_ABLATIONS
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.harness import (
-    batching,
-    governed,
+    RunOptions,
     pjoin_factory,
+    positive_int,
     run_join_experiment,
-    sharding,
-    skewed,
-    tracing,
+    run_options,
     xjoin_factory,
 )
 from repro.memory.budget import GovernorSpec, format_budget, parse_memory_budget
@@ -73,6 +70,7 @@ from repro.metrics.report import render_table
 from repro.obs.export import render_timeline, save_chrome_trace, save_jsonl
 from repro.obs.logging import LOG_LEVELS, get_logger, setup_logging
 from repro.obs.trace import Tracer
+from repro.planner import PlannerSpec
 from repro.resilience.chaos import CHAOS_SCENARIOS, run_chaos
 from repro.resilience.policy import FAULT_POLICIES, QUARANTINE
 from repro.workloads.generator import generate_workload
@@ -106,7 +104,7 @@ def _add_memory_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_batch_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
+        "--batch-size", type=positive_int, default=1, metavar="N",
         help="admit source tuples in micro-batches of N per scheduler "
              "event (default 1); results are byte-identical to the "
              "unbatched run, only wall-clock time changes",
@@ -123,26 +121,27 @@ def _add_planner_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _planner_context(args: argparse.Namespace):
-    """The ``planning(...)`` context for ``--planner``, or ``None``.
-
-    ``--planner static`` installs nothing: the default build is already
-    the fixed stream order and stays byte-identical to unplanned runs.
-    """
-    if getattr(args, "planner", "static") != "adaptive":
-        return None
-    from repro.experiments.harness import planning
-    from repro.planner import PlannerSpec
-
-    return planning(PlannerSpec(mode="adaptive"))
-
-
 def _governor_spec(args: argparse.Namespace) -> Optional[GovernorSpec]:
     """The GovernorSpec requested on the command line, if any."""
     budget = getattr(args, "memory_budget", None)
     if budget is None:
         return None
     return GovernorSpec(budget_tuples=budget, policy=args.eviction_policy)
+
+
+def _run_options(args: argparse.Namespace) -> RunOptions:
+    """The run options that the figures/demo build flags request.
+
+    ``--planner static`` sets no planner: the default build is already
+    the fixed stream order and stays byte-identical to unplanned runs.
+    """
+    adaptive = getattr(args, "planner", "static") == "adaptive"
+    return RunOptions(
+        shards=args.shards,
+        governor=_governor_spec(args),
+        planner=PlannerSpec(mode="adaptive") if adaptive else None,
+        batch_size=args.batch_size,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,12 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload scale factor (default 1.0 = paper scale)",
     )
     figures_cmd.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=positive_int, default=1, metavar="N",
         help="run each experiment's sweep points across N worker "
              "processes (results are identical to a serial run)",
     )
     figures_cmd.add_argument(
-        "--shards", type=int, default=None, metavar="K",
+        "--shards", type=positive_int, default=None, metavar="K",
         help="run every join in the presets as a K-shard stack "
              "(K=1 replays the unsharded execution exactly)",
     )
@@ -218,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="PJoin purge threshold (1 = eager)")
     demo_cmd.add_argument("--seed", type=int, default=42)
     demo_cmd.add_argument(
-        "--shards", type=int, default=None, metavar="K",
+        "--shards", type=positive_int, default=None, metavar="K",
         help="run both joins as K-shard stacks",
     )
     _add_memory_args(demo_cmd)
@@ -527,8 +526,7 @@ def cmd_memory(args: argparse.Namespace) -> int:
         reference = None  # the ungoverned result multiset
         for tag, spec in [("none", None)] + budgets:
             label = f"{algo} b={tag}"
-            with governed(spec) if spec is not None \
-                    else contextlib.nullcontext():
+            with run_options(governor=spec):
                 run = run_join_experiment(
                     make_factory(), workload, label=label, keep_items=True
                 )
@@ -615,18 +613,16 @@ def cmd_skew(args: argparse.Namespace) -> int:
     )
     config = PJoinConfig(n_partitions=args.partitions, purge_threshold=1)
     variants = [
-        ("static", contextlib.nullcontext()),
-        ("adaptive", skewed(SkewSpec())),
-        ("sharded static", sharding(args.shards)),
-        ("sharded hot-key", contextlib.ExitStack()),
+        ("static", RunOptions()),
+        ("adaptive", RunOptions(skew=SkewSpec())),
+        ("sharded static", RunOptions(shards=args.shards)),
+        ("sharded hot-key", RunOptions(
+            shards=args.shards, skew=SkewSpec(hot_keys=True, adaptive=False)
+        )),
     ]
-    hotkey_spec = SkewSpec(hot_keys=True, adaptive=False)
     runs = []
-    for label, ctx in variants:
-        with ctx as entered:
-            if label == "sharded hot-key":
-                entered.enter_context(sharding(args.shards))
-                entered.enter_context(skewed(hotkey_spec))
+    for label, options in variants:
+        with run_options(options):
             runs.append(run_join_experiment(
                 pjoin_factory(config), workload, label=label, keep_items=True
             ))
@@ -719,7 +715,7 @@ def cmd_shard(args: argparse.Namespace) -> int:
         propagation_mode="push_count" if args.propagate else "off",
     )
     spec = _governor_spec(args)
-    with governed(spec) if spec is not None else contextlib.nullcontext():
+    with run_options(governor=spec):
         base = run_join_experiment(
             pjoin_factory(config), workload, label="unsharded", keep_items=True
         )
@@ -736,10 +732,7 @@ def cmd_shard(args: argparse.Namespace) -> int:
     for k in args.shards:
         for backend in backends:
             if backend == "sim":
-                with contextlib.ExitStack() as stack:
-                    stack.enter_context(sharding(k))
-                    if spec is not None:
-                        stack.enter_context(governed(spec))
+                with run_options(shards=k, governor=spec):
                     run = run_join_experiment(
                         pjoin_factory(config), workload,
                         label=f"sharded-K{k}", keep_items=True,
@@ -939,7 +932,7 @@ def _add_chaos_parser(sub) -> None:
              "on any counter drift (the CI chaos-smoke gate)",
     )
     chaos_cmd.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=positive_int, default=1, metavar="N",
         help="run scenarios across N worker processes (each scenario is "
              "deterministic, so counters are identical to a serial run)",
     )
@@ -1058,58 +1051,18 @@ def cmd_figures(args: argparse.Namespace) -> int:
     if unknown:
         log.error("unknown experiments: %s; try 'repro list'", unknown)
         return 2
-    jobs = getattr(args, "jobs", 1)
-    shards = getattr(args, "shards", None)
-    spec = _governor_spec(args)
-    batch_size = getattr(args, "batch_size", None)
-    if shards is not None and jobs > 1:
-        # Worker processes re-import the experiment module and would not
-        # see the parent's sharding context.
-        log.error("--shards cannot be combined with --jobs > 1")
-        return 2
-    if spec is not None and jobs > 1:
-        # Same re-import problem: the governed() context would not reach
-        # the sweep workers.
-        log.error("--memory-budget cannot be combined with --jobs > 1")
-        return 2
-    if batch_size is not None and jobs > 1:
-        # Same re-import problem for the batching() context.
-        log.error("--batch-size cannot be combined with --jobs > 1")
-        return 2
-    planner_ctx = _planner_context(args)
-    if planner_ctx is not None and jobs > 1:
-        # The planning() context would not reach re-importing sweep
-        # workers either, but the serial path runs the identical
-        # experiments — degrade instead of refusing.
-        log.warning(
-            "--planner adaptive cannot fan out over worker processes; "
-            "falling back to a serial run (--jobs 1)"
-        )
-        jobs = 1
     runner = None
-    if jobs > 1:
+    if args.jobs > 1:
         from repro.perf.parallel import ParallelSweepRunner
 
-        runner = ParallelSweepRunner(jobs)
+        runner = ParallelSweepRunner(args.jobs)
     failures = []
-    with contextlib.ExitStack() as stack:
-        if shards is not None:
-            stack.enter_context(sharding(shards))
-        if spec is not None:
-            stack.enter_context(governed(spec))
-        if batch_size is not None:
-            try:
-                stack.enter_context(batching(batch_size))
-            except ValueError as exc:
-                log.error(str(exc))
-                return 2
-        if planner_ctx is not None:
-            stack.enter_context(planner_ctx)
-        export_dir = getattr(args, "export", None)
-        if export_dir is not None:
-            from repro.experiments.export import save_figure_json
+    export_dir = args.export
+    if export_dir is not None:
+        from repro.experiments.export import save_figure_json
 
-            export_dir.mkdir(parents=True, exist_ok=True)
+        export_dir.mkdir(parents=True, exist_ok=True)
+    with run_options(_run_options(args)):
         for name in names:
             if runner is not None:
                 result = runner.run_experiment(name, scale=args.scale)
@@ -1134,20 +1087,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         punct_spacing_b=args.spacing_b,
         seed=args.seed,
     )
-    shards = getattr(args, "shards", None)
-    spec = _governor_spec(args)
-    batch_size = getattr(args, "batch_size", None)
-    with contextlib.ExitStack() as stack:
-        if shards is not None:
-            stack.enter_context(sharding(shards))
-        if spec is not None:
-            stack.enter_context(governed(spec))
-        if batch_size is not None:
-            try:
-                stack.enter_context(batching(batch_size))
-            except ValueError as exc:
-                log.error(str(exc))
-                return 2
+    with run_options(_run_options(args)):
         pjoin = run_join_experiment(
             pjoin_factory(PJoinConfig(purge_threshold=args.purge_threshold)),
             workload,
@@ -1187,7 +1127,7 @@ def _traced_runs(args: argparse.Namespace, tracer: Tracer):
         if args.target not in ALL_EXPERIMENTS:
             log.error("unknown experiment: %r; try 'repro list'", args.target)
             return None
-        with tracing(tracer):
+        with run_options(tracer=tracer):
             result = ALL_EXPERIMENTS[args.target](scale=args.scale)
         return list(result.runs)
     workload = generate_workload(
@@ -1203,13 +1143,13 @@ def _traced_runs(args: argparse.Namespace, tracer: Tracer):
         propagate_count_threshold=max(2, args.purge_threshold),
         fault_policy=getattr(args, "fault_policy", "strict"),
     )
-    run = run_join_experiment(
-        pjoin_factory(config),
-        workload,
-        label=f"PJoin-{args.purge_threshold}",
-        keep_items=False,
-        tracer=tracer,
-    )
+    with run_options(tracer=tracer):
+        run = run_join_experiment(
+            pjoin_factory(config),
+            workload,
+            label=f"PJoin-{args.purge_threshold}",
+            keep_items=False,
+        )
     return [run]
 
 

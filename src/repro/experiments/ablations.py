@@ -8,7 +8,7 @@ on-the-fly drop, and the memory-threshold/disk trade-off.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Any, Callable, Dict, List
 
 from repro.core.config import PJoinConfig
 from repro.core.pjoin import PJoin
@@ -24,6 +24,12 @@ from repro.workloads.generator import generate_workload
 
 def _scaled(n: int, scale: float) -> int:
     return max(500, int(n * scale))
+
+
+def _summed(run: ExperimentRun, read: Callable[[Any], int]) -> int:
+    """*read* of the run's join, summed over its shards when sharded."""
+    shards = getattr(run.join, "shards", None)
+    return sum(map(read, shards)) if shards is not None else read(run.join)
 
 
 def ablation_index_building(scale: float = 1.0, seed: int = 21) -> FigureResult:
@@ -55,6 +61,10 @@ def ablation_index_building(scale: float = 1.0, seed: int = 21) -> FigureResult:
             )
         )
     eager, lazy = runs
+    eager_builds, lazy_builds = (
+        _summed(run, lambda join: join.sides[0].index.build_runs)
+        for run in runs
+    )
     checks = [
         Check(
             "both strategies propagate the same punctuations in the end "
@@ -63,10 +73,8 @@ def ablation_index_building(scale: float = 1.0, seed: int = 21) -> FigureResult:
         ),
         Check(
             "lazy building batches the scans: fewer index-build runs "
-            f"({lazy.join.sides[0].index.build_runs} vs "
-            f"{eager.join.sides[0].index.build_runs})",
-            lazy.join.sides[0].index.build_runs
-            < eager.join.sides[0].index.build_runs,
+            f"({lazy_builds} vs {eager_builds})",
+            lazy_builds < eager_builds,
         ),
         Check(
             "lazy building finishes no later than eager "
@@ -133,6 +141,9 @@ def ablation_propagation_mode(scale: float = 1.0, seed: int = 23) -> FigureResul
 
     runs.append(run_join_experiment(pull_factory, workload, label="pull-2000ms"))
     outs = [run.punctuations_out for run in runs]
+    count, by_time, pull = (
+        _summed(run, lambda join: join.propagation_runs) for run in runs
+    )
     checks = [
         Check(
             f"every mode eventually propagates all punctuations {outs}",
@@ -140,11 +151,8 @@ def ablation_propagation_mode(scale: float = 1.0, seed: int = 23) -> FigureResul
         ),
         Check(
             "push-count reacts most often (most propagation runs): "
-            f"{runs[0].join.propagation_runs} vs "
-            f"{runs[1].join.propagation_runs} (time), "
-            f"{runs[2].join.propagation_runs} (pull)",
-            runs[0].join.propagation_runs >= runs[1].join.propagation_runs
-            and runs[0].join.propagation_runs >= runs[2].join.propagation_runs,
+            f"{count} vs {by_time} (time), {pull} (pull)",
+            count >= by_time and count >= pull,
         ),
     ]
     return FigureResult(
@@ -220,6 +228,7 @@ def ablation_on_the_fly_drop(scale: float = 1.0, seed: int = 13) -> FigureResult
     )
     b_on = on.series["state_b"].time_weighted_mean()
     b_off = off.series["state_b"].time_weighted_mean()
+    dropped = _summed(on, lambda join: join.tuples_dropped_on_fly)
     checks = [
         Check(
             "both settings produce the same number of results "
@@ -232,8 +241,8 @@ def ablation_on_the_fly_drop(scale: float = 1.0, seed: int = 13) -> FigureResult
             b_on < 0.5 * max(b_off, 1.0),
         ),
         Check(
-            f"drops actually happened ({on.join.tuples_dropped_on_fly})",
-            on.join.tuples_dropped_on_fly > 0,
+            f"drops actually happened ({dropped})",
+            dropped > 0,
         ),
     ]
     return FigureResult(
@@ -265,6 +274,10 @@ def ablation_memory_threshold(scale: float = 1.0, seed: int = 5) -> FigureResult
         workload,
         label=f"XJoin (mem {threshold})",
     )
+    pjoin_spilled, xjoin_spilled = (
+        _summed(run, lambda join: join.disk.tuples_written)
+        for run in (pjoin, xjoin)
+    )
     checks = [
         Check(
             "both produce the same result count "
@@ -273,11 +286,8 @@ def ablation_memory_threshold(scale: float = 1.0, seed: int = 5) -> FigureResult
         ),
         Check(
             "purging keeps PJoin under the threshold: far fewer tuples "
-            f"spilled ({pjoin.join.disk.tuples_written} vs "
-            f"{xjoin.join.disk.tuples_written})",
-            pjoin.join.disk.tuples_written < 0.5 * max(
-                xjoin.join.disk.tuples_written, 1
-            ),
+            f"spilled ({pjoin_spilled} vs {xjoin_spilled})",
+            pjoin_spilled < 0.5 * max(xjoin_spilled, 1),
         ),
     ]
     return FigureResult(
@@ -411,11 +421,12 @@ def ablation_reactive_disk_join(scale: float = 1.0, seed: int = 5) -> FigureResu
     arrivals_end = workload.end_time
     reactive_early = reactive.output_series.value_at(arrivals_end)
     lazy_early = lazy.output_series.value_at(arrivals_end)
+    stage2_runs = _summed(reactive, lambda join: join.stage2_runs)
     checks = [
         Check(
             "lulls actually trigger the reactive stage "
-            f"({reactive.join.stage2_runs} stage-2 runs)",
-            reactive.join.stage2_runs > 0,
+            f"({stage2_runs} stage-2 runs)",
+            stage2_runs > 0,
         ),
         Check(
             "both variants produce the same results "

@@ -21,11 +21,9 @@ from typing import Callable, Dict, List, Tuple as PyTuple
 from repro.core.config import PJoinConfig
 from repro.experiments.harness import (
     ExperimentRun,
-    governed,
     pjoin_factory,
     run_join_experiment,
-    sharding,
-    skewed,
+    run_options,
     xjoin_factory,
 )
 from repro.memory.budget import GovernorSpec, format_budget
@@ -579,7 +577,7 @@ def fig_memory_sweep(
     for budget in budgets:
         spec = GovernorSpec(budget_tuples=budget, policy=eviction_policy)
         tag = format_budget(budget)
-        with governed(spec):
+        with run_options(governor=spec):
             runs.append(
                 run_join_experiment(
                     pjoin_factory(PJoinConfig(purge_threshold=1)),
@@ -766,7 +764,7 @@ def fig_skew_sweep(scale: float = 1.0, seed: int = 17) -> FigureResult:
                 pjoin_factory(config), workload, label=f"PJoin static {tag}"
             )
         )
-        with skewed(adaptive_spec):
+        with run_options(skew=adaptive_spec):
             runs.append(
                 run_join_experiment(
                     pjoin_factory(config), workload,
@@ -776,14 +774,14 @@ def fig_skew_sweep(scale: float = 1.0, seed: int = 17) -> FigureResult:
         runs.append(
             run_join_experiment(xjoin_factory(), workload, label=f"XJoin {tag}")
         )
-        with sharding(4):
+        with run_options(shards=4):
             runs.append(
                 run_join_experiment(
                     pjoin_factory(config), workload,
                     label=f"sharded static {tag}",
                 )
             )
-            with skewed(hotkey_spec):
+            with run_options(skew=hotkey_spec):
                 runs.append(
                     run_join_experiment(
                         pjoin_factory(config), workload,

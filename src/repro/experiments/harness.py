@@ -9,12 +9,23 @@ figures need: time series, final counters and derived statistics.
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Callable, Dict, Iterator, Optional
+import dataclasses
+from dataclasses import dataclass
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    ContextManager,
+    Dict,
+    Iterator,
+    Optional,
+)
 
 from repro.core.config import PJoinConfig
 from repro.core.nary import NaryPJoin
 from repro.core.pjoin import PJoin
 from repro.core.registry import EventListenerRegistry
+from repro.errors import ConfigError
 from repro.memory.budget import GovernorSpec
 from repro.planner.spec import PlannerSpec
 from repro.metrics.collector import MetricsCollector
@@ -30,205 +41,111 @@ from repro.query.plan import QueryPlan
 from repro.sim.costs import CostModel
 from repro.workloads.generator import GeneratedWorkload
 
+if TYPE_CHECKING:
+    from repro.skew.manager import SkewSpec
+
 # A factory builds the join under test inside the experiment's plan.
 JoinFactory = Callable[[QueryPlan, GeneratedWorkload], Operator]
 
-# Tracer installed by the tracing() context manager; every
-# run_join_experiment call inside the block attaches it to its engine.
-_ACTIVE_TRACER: Optional[Tracer] = None
+
+@dataclass(frozen=True)
+class RunOptions:
+    """How every experiment run is built and observed.
+
+    The build fields switch feature layers on in the stock factories
+    and set the sources' batch size; each default is the plain build.
+    ``shards`` builds the K-shard stack (K=1 replays the unsharded
+    execution exactly), ``governor`` attaches a memory governor (split
+    across shards), ``skew`` attaches the skew layer to PJoin,
+    ``planner`` plans n-ary joins built without their own spec, and
+    ``batch_size`` admits source tuples in vectors of that size
+    (results are byte-identical for every value).
+
+    ``tracer`` and ``profiler`` are observers: live objects that
+    collect the events and timings of every run they see, so they stay
+    in the process that holds them (the parallel sweep runner refuses
+    them).  Install a value with :func:`run_options`; the factories and
+    :func:`execute_join_experiment` read it once per run.
+    """
+
+    shards: Optional[int] = None
+    governor: Optional[GovernorSpec] = None
+    skew: Optional[SkewSpec] = None
+    planner: Optional[PlannerSpec] = None
+    batch_size: int = 1
+    tracer: Optional[Tracer] = None
+    profiler: Optional[Profiler] = None
+
+    def __post_init__(self) -> None:
+        if self.shards is not None and self.shards < 1:
+            raise ConfigError(f"need at least one shard, got {self.shards}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
+
+
+_OPTIONS = RunOptions()
 
 # Interceptor installed by intercepting_runs(); when set, every
 # run_join_experiment call is routed through it instead of executing.
 _RUN_INTERCEPTOR: Optional[Callable[..., Any]] = None
 
-# Shard count installed by the sharding() context manager; when set, the
-# stock join factories build the sharded stack instead of a plain join.
-_ACTIVE_SHARDS: Optional[int] = None
-
-# Governor spec installed by the governed() context manager; when set,
-# the stock join factories attach a memory governor to every join they
-# build (split across shards under an active sharding() block).
-_ACTIVE_GOVERNOR: Optional[GovernorSpec] = None
-
-# Profiler installed by the profiling() context manager; when set,
-# every run is instrumented (hot-path callables shadowed) just before
-# execution and restored right after, and the run carries the
-# profiler's snapshot.  When unset, nothing is shadowed: the unprofiled
-# path is byte-for-byte today's code.
-_ACTIVE_PROFILER: Optional[Profiler] = None
-
-# Source batch size installed by the batching() context manager; when
-# set, every experiment's sources prefetch their schedules in vectors
-# of this size (byte-identical results for every value).
-_ACTIVE_BATCH_SIZE: Optional[int] = None
-
-# Planner spec installed by the planning() context manager; when set,
-# the n-ary stock factory builds its joins with this spec (the CLI's
-# --planner flag).  When unset, joins are unplanned: stream order,
-# byte-identical to pre-planner builds.
-_ACTIVE_PLANNER: Optional[PlannerSpec] = None
-
-# Skew spec installed by the skewed() context manager; when set, the
-# stock PJoin factory attaches the skew layer (sketch + adaptive
-# tables, and the hot-key router under sharding).  When unset, joins
-# build stock tables on the byte-identical default path.
-_ACTIVE_SKEW: Optional[Any] = None
-
 
 @contextlib.contextmanager
-def skewed(spec: Optional[Any]) -> Iterator[None]:
-    """Attach the skew layer to every stock PJoin built in this block.
+def run_options(
+    options: Optional[RunOptions] = None, **changes: Any
+) -> Iterator[RunOptions]:
+    """Run every experiment in this block under *options*.
 
-    The CLI's ``repro skew`` and the skew-sweep figure use this to
-    re-run unmodified experiment presets skew-adaptively: *spec* is a
-    :class:`~repro.skew.manager.SkewSpec`; :func:`pjoin_factory`
-    consults it when building (plain or sharded).  ``skewed(None)``
-    restores stock builds.
+    Without *options* the block keeps the active value and replaces
+    only the fields named in *changes*, so nested blocks compose:
+    ``run_options(governor=spec)`` inside ``run_options(shards=2)``
+    builds governed shards.  Yields the installed value; the previous
+    one is restored on exit.
     """
-    global _ACTIVE_SKEW
-    previous = _ACTIVE_SKEW
-    _ACTIVE_SKEW = spec
+    global _OPTIONS
+    previous = _OPTIONS
+    _OPTIONS = dataclasses.replace(
+        options if options is not None else previous, **changes
+    )
     try:
-        yield
+        yield _OPTIONS
     finally:
-        _ACTIVE_SKEW = previous
+        _OPTIONS = previous
 
 
-def active_skew() -> Optional[Any]:
-    """The skew spec installed by :func:`skewed`, if any."""
-    return _ACTIVE_SKEW
+def active_options() -> RunOptions:
+    """The run options installed by the innermost :func:`run_options`."""
+    return _OPTIONS
 
 
-@contextlib.contextmanager
-def planning(spec: Optional[PlannerSpec]) -> Iterator[None]:
-    """Build every stock n-ary join in this block with a planner spec.
+# perfbench/workloads.py enters these three; they stay as wrappers
+# until perfbench enters run_options itself.
+def governed(spec: Optional[GovernorSpec]) -> ContextManager[RunOptions]:
+    """``run_options(governor=spec)``."""
+    return run_options(governor=spec)
 
-    The CLI's ``--planner {static,adaptive}`` uses this to re-run
-    unmodified experiment presets under the cost-based planner:
-    :func:`nary_pjoin_factory` consults the active spec when its own
-    ``planner`` argument is ``None``.  ``planning(None)`` restores
-    unplanned builds (the byte-identical default path).
+
+def sharding(n_shards: Optional[int]) -> ContextManager[RunOptions]:
+    """``run_options(shards=n_shards)``."""
+    return run_options(shards=n_shards)
+
+
+def skewed(spec: Optional[SkewSpec]) -> ContextManager[RunOptions]:
+    """``run_options(skew=spec)``."""
+    return run_options(skew=spec)
+
+
+def positive_int(text: str) -> int:
+    """argparse type of the count flags: an integer of at least 1.
+
+    ``--jobs``, ``--shards`` and ``--batch-size`` use it, so a bad
+    count exits 2 with a usage message (argparse reports the
+    ``ValueError``).
     """
-    global _ACTIVE_PLANNER
-    previous = _ACTIVE_PLANNER
-    _ACTIVE_PLANNER = spec
-    try:
-        yield
-    finally:
-        _ACTIVE_PLANNER = previous
-
-
-def active_planner() -> Optional[PlannerSpec]:
-    """The planner spec installed by :func:`planning`, if any."""
-    return _ACTIVE_PLANNER
-
-
-@contextlib.contextmanager
-def batching(batch_size: Optional[int]) -> Iterator[None]:
-    """Run every experiment in this block with micro-batched sources.
-
-    The CLI's ``--batch-size`` uses this to re-run unmodified experiment
-    presets with vectorized source admission:
-    :func:`run_join_experiment` consults the active batch size when its
-    own ``batch_size`` argument is ``None``.  Micro-batching amortizes
-    per-item event scheduling; delivery times, order, counters and all
-    figure output stay byte-identical for every batch size (the
-    equivalence suite proves it).  ``batching(None)`` restores the
-    default item-at-a-time admission.
-    """
-    global _ACTIVE_BATCH_SIZE
-    if batch_size is not None and batch_size < 1:
-        raise ValueError(f"batch size must be >= 1, got {batch_size}")
-    previous = _ACTIVE_BATCH_SIZE
-    _ACTIVE_BATCH_SIZE = batch_size
-    try:
-        yield
-    finally:
-        _ACTIVE_BATCH_SIZE = previous
-
-
-def active_batch_size() -> Optional[int]:
-    """The source batch size installed by :func:`batching`, if any."""
-    return _ACTIVE_BATCH_SIZE
-
-
-@contextlib.contextmanager
-def governed(spec: Optional[GovernorSpec]) -> Iterator[None]:
-    """Attach a memory governor to every stock-factory join built here.
-
-    The CLI's ``--memory-budget``/``--eviction-policy`` use this to
-    re-run unmodified experiment presets under a state budget.  Under an
-    active :func:`sharding` block the spec is split so the per-shard
-    budgets sum to the global one.  ``governed(None)`` restores
-    ungoverned builds.
-    """
-    global _ACTIVE_GOVERNOR
-    previous = _ACTIVE_GOVERNOR
-    _ACTIVE_GOVERNOR = spec
-    try:
-        yield
-    finally:
-        _ACTIVE_GOVERNOR = previous
-
-
-def active_governor() -> Optional[GovernorSpec]:
-    """The governor spec installed by :func:`governed`, if any."""
-    return _ACTIVE_GOVERNOR
-
-
-@contextlib.contextmanager
-def sharding(n_shards: Optional[int]) -> Iterator[None]:
-    """Build every stock-factory join as a K-shard stack in this block.
-
-    The CLI's ``--shards K`` uses this to re-run unmodified experiment
-    presets sharded: :func:`pjoin_factory`, :func:`xjoin_factory` and
-    :func:`shj_factory` consult the active shard count when they build.
-    ``sharding(1)`` still builds the sharded stack (router, one shard,
-    merger) — it replays the unsharded execution byte-for-byte, which is
-    the subsystem's equivalence anchor.  ``sharding(None)`` restores the
-    plain operators.
-    """
-    global _ACTIVE_SHARDS
-    if n_shards is not None and n_shards < 1:
-        raise ValueError(f"need at least one shard, got {n_shards}")
-    previous = _ACTIVE_SHARDS
-    _ACTIVE_SHARDS = n_shards
-    try:
-        yield
-    finally:
-        _ACTIVE_SHARDS = previous
-
-
-def active_shards() -> Optional[int]:
-    """The shard count installed by :func:`sharding`, if any."""
-    return _ACTIVE_SHARDS
-
-
-@contextlib.contextmanager
-def profiling(profiler: Optional[Profiler] = None) -> Iterator[Profiler]:
-    """Profile every experiment run inside the ``with`` block.
-
-    The CLI's ``repro profile`` uses this to measure unmodified
-    experiment presets: :func:`execute_join_experiment` instruments the
-    built plan with the active profiler before running it and restores
-    the instrumentation afterwards, so shared objects (cost models,
-    tracers) never leak timing shadows into later runs.  Yields the
-    profiler so callers can read its snapshot and histograms.
-    """
-    global _ACTIVE_PROFILER
-    if profiler is None:
-        profiler = Profiler()
-    previous = _ACTIVE_PROFILER
-    _ACTIVE_PROFILER = profiler
-    try:
-        yield profiler
-    finally:
-        _ACTIVE_PROFILER = previous
-
-
-def active_profiler() -> Optional[Profiler]:
-    """The profiler installed by :func:`profiling`, if any."""
-    return _ACTIVE_PROFILER
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
 
 
 @contextlib.contextmanager
@@ -249,27 +166,6 @@ def intercepting_runs(interceptor: Callable[..., Any]) -> Iterator[None]:
         yield
     finally:
         _RUN_INTERCEPTOR = previous
-
-
-@contextlib.contextmanager
-def tracing(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
-    """Trace every experiment run inside the ``with`` block.
-
-    The CLI's ``repro trace fig08`` uses this to instrument experiment
-    presets without threading a tracer through every preset function:
-    ``run_join_experiment`` consults the active tracer when its own
-    ``tracer`` argument is ``None``.  Yields the tracer so callers can
-    export its events afterwards.
-    """
-    global _ACTIVE_TRACER
-    if tracer is None:
-        tracer = Tracer()
-    previous = _ACTIVE_TRACER
-    _ACTIVE_TRACER = tracer
-    try:
-        yield tracer
-    finally:
-        _ACTIVE_TRACER = previous
 
 
 class ExperimentRun:
@@ -376,10 +272,12 @@ def run_join_experiment(
     cost_model: Optional[CostModel] = None,
     keep_items: bool = False,
     horizon_factor: float = 4.0,
-    tracer: Optional[Tracer] = None,
-    batch_size: Optional[int] = None,
 ) -> ExperimentRun:
     """Execute one join over one workload and return its measurements.
+
+    The active :class:`RunOptions` (see :func:`run_options`) decide how
+    the join is built, how the sources batch, and whether a tracer or
+    profiler watches the run.
 
     Parameters
     ----------
@@ -396,15 +294,6 @@ def run_join_experiment(
         Metrics are pre-scheduled until ``end_time * horizon_factor`` so
         a saturated join that lags behind its inputs is still sampled;
         trailing samples after completion are trimmed.
-    tracer:
-        Attach this :class:`~repro.obs.trace.Tracer` to the simulation
-        engine for the run.  Defaults to the tracer installed by the
-        :func:`tracing` context manager, if any; otherwise the run is
-        untraced (the zero-cost-when-off path).
-    batch_size:
-        Source schedule prefetch vector (see :func:`batching`).
-        Defaults to the active :func:`batching` context, else 1.
-        Results are byte-identical for every value.
     """
     if _RUN_INTERCEPTOR is not None:
         return _RUN_INTERCEPTOR(
@@ -415,8 +304,6 @@ def run_join_experiment(
             cost_model=cost_model,
             keep_items=keep_items,
             horizon_factor=horizon_factor,
-            tracer=tracer,
-            batch_size=batch_size,
         )
     return execute_join_experiment(
         factory,
@@ -426,8 +313,6 @@ def run_join_experiment(
         cost_model=cost_model,
         keep_items=keep_items,
         horizon_factor=horizon_factor,
-        tracer=tracer,
-        batch_size=batch_size,
     )
 
 
@@ -439,14 +324,10 @@ def execute_join_experiment(
     cost_model: Optional[CostModel] = None,
     keep_items: bool = False,
     horizon_factor: float = 4.0,
-    tracer: Optional[Tracer] = None,
-    batch_size: Optional[int] = None,
 ) -> ExperimentRun:
     """The un-interceptable body of :func:`run_join_experiment`."""
-    if tracer is None:
-        tracer = _ACTIVE_TRACER
-    if batch_size is None:
-        batch_size = _ACTIVE_BATCH_SIZE if _ACTIVE_BATCH_SIZE is not None else 1
+    options = _OPTIONS
+    tracer = options.tracer
     plan = QueryPlan(cost_model=cost_model)
     if tracer is not None:
         plan.engine.tracer = tracer
@@ -461,7 +342,8 @@ def execute_join_experiment(
     )
     for port, (schedule, source_name) in enumerate(zip(schedules, names)):
         plan.add_source(
-            schedule, join, port=port, name=source_name, batch_size=batch_size
+            schedule, join, port=port, name=source_name,
+            batch_size=options.batch_size,
         )
     collector = MetricsCollector(plan.engine, interval_ms=sample_interval_ms)
     collector.register_gauge("state_total", join.total_state_size)
@@ -473,7 +355,7 @@ def execute_join_experiment(
     collector.register_gauge("output", lambda: sink.tuple_count)
     collector.register_gauge("punct_output", lambda: sink.punctuation_count)
     collector.start(horizon_ms=workload.end_time * horizon_factor + 1000.0)
-    profiler = _ACTIVE_PROFILER
+    profiler = options.profiler
     if profiler is not None:
         profiler.instrument_run(join, sink, plan.engine, plan.cost_model)
     try:
@@ -530,44 +412,48 @@ def _trim(series: TimeSeries, eos_time: float) -> TimeSeries:
 # ---------------------------------------------------------------------------
 
 
+def _binary_args(plan: QueryPlan, workload: GeneratedWorkload) -> tuple:
+    """Engine, cost model, schemas and join fields of a binary join."""
+    return (
+        plan.engine,
+        plan.cost_model,
+        workload.schemas[0],
+        workload.schemas[1],
+        workload.join_fields[0],
+        workload.join_fields[1],
+    )
+
+
 def pjoin_factory(
     config: Optional[PJoinConfig] = None,
     registry: Optional[EventListenerRegistry] = None,
 ) -> JoinFactory:
     """A factory producing a PJoin with the given configuration.
 
-    Under an active :func:`sharding` block the factory builds the
-    K-shard PJoin stack instead (each shard gets the same config).
+    The active :class:`RunOptions` attach their governor and skew
+    layer; with ``shards`` set the factory builds the K-shard PJoin
+    stack instead (each shard gets the same config).
     """
 
     def build(plan: QueryPlan, workload: GeneratedWorkload) -> Operator:
-        if _ACTIVE_SHARDS is not None:
+        options = _OPTIONS
+        if options.shards is not None:
             from repro.shard.operator import sharded_pjoin
 
             return sharded_pjoin(
-                plan.engine,
-                plan.cost_model,
-                workload.schemas[0],
-                workload.schemas[1],
-                workload.join_fields[0],
-                workload.join_fields[1],
-                _ACTIVE_SHARDS,
+                *_binary_args(plan, workload),
+                options.shards,
                 config=config,
                 registry=registry,
-                governor=_ACTIVE_GOVERNOR,
-                skew=_ACTIVE_SKEW,
+                governor=options.governor,
+                skew=options.skew,
             )
         return PJoin(
-            plan.engine,
-            plan.cost_model,
-            workload.schemas[0],
-            workload.schemas[1],
-            workload.join_fields[0],
-            workload.join_fields[1],
+            *_binary_args(plan, workload),
             config=config,
             registry=registry,
-            governor=_ACTIVE_GOVERNOR,
-            skew=_ACTIVE_SKEW,
+            governor=options.governor,
+            skew=options.skew,
         )
 
     return build
@@ -577,29 +463,20 @@ def xjoin_factory(memory_threshold: Optional[int] = None) -> JoinFactory:
     """A factory producing the XJoin comparator (sharded when active)."""
 
     def build(plan: QueryPlan, workload: GeneratedWorkload) -> Operator:
-        if _ACTIVE_SHARDS is not None:
+        options = _OPTIONS
+        if options.shards is not None:
             from repro.shard.operator import sharded_xjoin
 
             return sharded_xjoin(
-                plan.engine,
-                plan.cost_model,
-                workload.schemas[0],
-                workload.schemas[1],
-                workload.join_fields[0],
-                workload.join_fields[1],
-                _ACTIVE_SHARDS,
+                *_binary_args(plan, workload),
+                options.shards,
                 memory_threshold=memory_threshold,
-                governor=_ACTIVE_GOVERNOR,
+                governor=options.governor,
             )
         return XJoin(
-            plan.engine,
-            plan.cost_model,
-            workload.schemas[0],
-            workload.schemas[1],
-            workload.join_fields[0],
-            workload.join_fields[1],
+            *_binary_args(plan, workload),
             memory_threshold=memory_threshold,
-            governor=_ACTIVE_GOVERNOR,
+            governor=options.governor,
         )
 
     return build
@@ -609,27 +486,17 @@ def shj_factory() -> JoinFactory:
     """A factory producing the symmetric hash join (sharded when active)."""
 
     def build(plan: QueryPlan, workload: GeneratedWorkload) -> Operator:
-        if _ACTIVE_SHARDS is not None:
+        options = _OPTIONS
+        if options.shards is not None:
             from repro.shard.operator import sharded_shj
 
             return sharded_shj(
-                plan.engine,
-                plan.cost_model,
-                workload.schemas[0],
-                workload.schemas[1],
-                workload.join_fields[0],
-                workload.join_fields[1],
-                _ACTIVE_SHARDS,
-                governor=_ACTIVE_GOVERNOR,
+                *_binary_args(plan, workload),
+                options.shards,
+                governor=options.governor,
             )
         return SymmetricHashJoin(
-            plan.engine,
-            plan.cost_model,
-            workload.schemas[0],
-            workload.schemas[1],
-            workload.join_fields[0],
-            workload.join_fields[1],
-            governor=_ACTIVE_GOVERNOR,
+            *_binary_args(plan, workload), governor=options.governor
         )
 
     return build
@@ -641,21 +508,21 @@ def nary_pjoin_factory(
 ) -> JoinFactory:
     """A factory producing an n-ary PJoin over all workload streams.
 
-    ``planner`` defaults to the spec installed by the :func:`planning`
-    context manager (the CLI's ``--planner`` flag); both unset builds
-    the unplanned operator.
+    ``planner`` defaults to the active :class:`RunOptions`' planner
+    (the CLI's ``--planner`` flag); both unset builds the unplanned
+    operator.
     """
 
     def build(plan: QueryPlan, workload: GeneratedWorkload) -> Operator:
-        spec = planner if planner is not None else _ACTIVE_PLANNER
+        options = _OPTIONS
         return NaryPJoin(
             plan.engine,
             plan.cost_model,
             workload.schemas,
             workload.join_fields,
             config=config,
-            governor=_ACTIVE_GOVERNOR,
-            planner=spec,
+            governor=options.governor,
+            planner=planner if planner is not None else options.planner,
         )
 
     return build
@@ -670,8 +537,8 @@ def run_nary_experiment(
     """Run an n-ary PJoin over an n-stream workload.
 
     A thin veneer over :func:`run_join_experiment` — interception
-    (parallel sweeps), batching, profiling and tracing all compose
-    exactly as for binary experiments.
+    (parallel sweeps) and the run options compose exactly as for
+    binary experiments.
     """
     return run_join_experiment(
         nary_pjoin_factory(config=config, planner=planner), workload, **kwargs

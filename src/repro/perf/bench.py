@@ -19,7 +19,6 @@ Two invariants make the numbers trustworthy:
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
 import json
 import os
@@ -34,11 +33,12 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.core.config import PJoinConfig
 from repro.errors import ConfigError
 from repro.experiments.harness import (
-    active_governor,
-    batching,
-    governed,
+    RunOptions,
+    active_options,
     pjoin_factory,
+    positive_int,
     run_join_experiment,
+    run_options,
     xjoin_factory,
 )
 from repro.memory.budget import GovernorSpec, parse_memory_budget
@@ -133,11 +133,12 @@ def _prepare_fig5_batched(scale: float) -> Callable[[], Dict[str, Any]]:
     factory = pjoin_factory(PJoinConfig(purge_threshold=1))
 
     def run() -> Dict[str, Any]:
-        return _experiment_outcome(
-            run_join_experiment(
-                factory, workload, label="bench:fig5:PJoin-1-b64", batch_size=64
+        with run_options(batch_size=64):
+            return _experiment_outcome(
+                run_join_experiment(
+                    factory, workload, label="bench:fig5:PJoin-1-b64"
+                )
             )
-        )
 
     return run
 
@@ -157,7 +158,7 @@ def _prepare_fig5_xjoin_tight(scale: float) -> Callable[[], Dict[str, Any]]:
     )
 
     def run() -> Dict[str, Any]:
-        with governed(spec):
+        with run_options(governor=spec):
             return _experiment_outcome(
                 run_join_experiment(
                     xjoin_factory(), workload, label="bench:fig5:XJoin-tight"
@@ -201,9 +202,9 @@ def _prepare_fig5_sharded(scale: float) -> Callable[[], Dict[str, Any]]:
     )
     plan = ShardPlan(workload, n_shards)
     config = PJoinConfig(purge_threshold=1)
-    # The governed() context does not cross the fork boundary, so the
-    # active spec travels explicitly (and keys the pool cache).
-    spec = active_governor()
+    # The shard workers do not read the run options, so the active
+    # governor spec travels explicitly (and keys the pool cache).
+    spec = active_options().governor
     pool = warm_pool(
         ("fig5_pjoin_sharded", scale, n_shards, spec),
         plan, config=config, governor=spec,
@@ -627,7 +628,8 @@ def add_bench_args(parser: argparse.ArgumentParser) -> None:
              f"(default {DEFAULT_SCALE}, or {QUICK_SCALE} with --quick)",
     )
     parser.add_argument(
-        "--cases", nargs="*", default=None, metavar="NAME",
+        "--cases", nargs="*", choices=list(BENCH_CASES), default=None,
+        metavar="NAME",
         help=f"subset of cases to run ({', '.join(BENCH_CASES)})",
     )
     parser.add_argument(
@@ -668,7 +670,7 @@ def add_bench_args(parser: argparse.ArgumentParser) -> None:
         help="governor eviction policy (default %(default)s)",
     )
     parser.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
+        "--batch-size", type=positive_int, default=1, metavar="N",
         help="run every in-process case with micro-batched sources "
              "(N tuples admitted per scheduler event; results are "
              "byte-identical to the unbatched run, only wall time moves); "
@@ -695,26 +697,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if scale is None:
         scale = QUICK_SCALE if args.quick else DEFAULT_SCALE
     spec = None
-    if getattr(args, "memory_budget", None) is not None:
+    if args.memory_budget is not None:
         spec = GovernorSpec(
             budget_tuples=args.memory_budget, policy=args.eviction_policy
         )
-    try:
-        with contextlib.ExitStack() as stack:
-            if spec is not None:
-                stack.enter_context(governed(spec))
-            if getattr(args, "batch_size", None) is not None:
-                stack.enter_context(batching(args.batch_size))
-            report = run_bench(
-                scale=scale,
-                cases=args.cases,
-                repeat=args.repeat,
-                quick=args.quick,
-                progress=log.info,
-            )
-    except ValueError as exc:
-        log.error(str(exc))
-        return 2
+    with run_options(RunOptions(governor=spec, batch_size=args.batch_size)):
+        report = run_bench(
+            scale=scale,
+            cases=args.cases,
+            repeat=args.repeat,
+            quick=args.quick,
+            progress=log.info,
+        )
 
     if getattr(args, "layer_matrix", False):
         from repro.profiling.runner import layer_cost_matrix

@@ -16,6 +16,11 @@ without modifying any experiment function, in three passes:
    worker results call-by-call, so checks and figure assembly run on
    exactly the objects a serial run would have produced.
 
+Every worker runs under the parent's :class:`RunOptions`, passed as an
+argument, so shards, governor, skew, planner and batch size reach each
+point.  The tracer and profiler do not: they collect events in the
+process that holds them, so the runner refuses them with ``jobs > 1``.
+
 Because each point is a deterministic simulation and pickling preserves
 its measurements exactly, serial and parallel sweeps yield
 byte-identical figure JSON.  The only trace of parallelism is a
@@ -29,7 +34,13 @@ from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import PerfError
-from repro.experiments.harness import execute_join_experiment, intercepting_runs
+from repro.experiments.harness import (
+    RunOptions,
+    active_options,
+    execute_join_experiment,
+    intercepting_runs,
+    run_options,
+)
 
 
 def _experiment_registry() -> Dict[str, Callable[..., Any]]:
@@ -88,7 +99,9 @@ def _plan_sweep(fn: Callable[..., Any], scale: float) -> List[str]:
     return labels
 
 
-def _execute_point(name: str, scale: float, index: int) -> Any:
+def _execute_point(
+    name: str, scale: float, index: int, options: RunOptions
+) -> Any:
     """Worker entry: run only sweep point *index* of experiment *name*."""
     fn = _experiment_registry()[name]
     state = {"calls": -1}
@@ -102,7 +115,7 @@ def _execute_point(name: str, scale: float, index: int) -> Any:
         return _RunPlaceholder(state["calls"], kwargs.get("label", ""))
 
     try:
-        with intercepting_runs(interceptor):
+        with run_options(options), intercepting_runs(interceptor):
             fn(scale=scale)
     except _PointComplete as done:
         return done.run
@@ -143,19 +156,25 @@ class ParallelSweepRunner:
         fn = registry[name]
         if self.jobs == 1:
             return self._stamp(fn(scale=scale))
+        options = active_options()
+        if options.tracer is not None or options.profiler is not None:
+            raise PerfError(
+                "a tracer or profiler records in its own process and "
+                "cannot follow runs into workers; run with jobs=1"
+            )
         labels = _plan_sweep(fn, scale)
         if not labels:
             return self._stamp(fn(scale=scale))
-        results = self._execute_points(name, scale, len(labels))
+        results = self._execute_points(name, scale, len(labels), options)
         return self._stamp(self._merge(fn, scale, labels, results))
 
     def _execute_points(
-        self, name: str, scale: float, count: int
+        self, name: str, scale: float, count: int, options: RunOptions
     ) -> Dict[int, Any]:
         results: Dict[int, Any] = {}
         with ProcessPoolExecutor(max_workers=min(self.jobs, count)) as pool:
             futures = {
-                pool.submit(_execute_point, name, scale, index): index
+                pool.submit(_execute_point, name, scale, index, options): index
                 for index in range(count)
             }
             wait(futures, return_when=FIRST_EXCEPTION)

@@ -5,8 +5,8 @@ numbers line up with the wall-clock trajectory in ``BENCH_<rev>.json``:
 a seeded figure-style workload and the join the figure measures.
 
 A preset also declares which feature layers it can toggle.  The obs,
-governor and shard layers attach from the outside (tracer on the
-engine, ``governed(inf)``, ``sharding(1)``) and work for every preset;
+governor and shard layers attach from the outside (run options with a
+tracer, an infinite governor budget, one shard) and work for every preset;
 the resilience layer is a *config* choice (fault policy) that only the
 PJoin factory exposes, so XJoin/SHJ presets leave it out of their grid
 rather than pretending to toggle it.

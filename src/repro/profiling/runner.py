@@ -22,7 +22,6 @@ stay under a configurable ratio.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import sys
@@ -34,11 +33,9 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 from repro.errors import ConfigError
 from repro.experiments.harness import (
     ExperimentRun,
-    governed,
-    profiling,
+    positive_int,
     run_join_experiment,
-    sharding,
-    tracing,
+    run_options,
 )
 from repro.memory.budget import GovernorSpec
 from repro.metrics.report import render_table
@@ -85,28 +82,26 @@ class ProfileRun:
         return events / self.wall_s if self.wall_s else 0.0
 
 
-def _feature_contexts(
-    features: Iterable[str],
-) -> List[contextlib.AbstractContextManager[Any]]:
-    """The harness contexts that switch each feature layer on."""
-    contexts: List[contextlib.AbstractContextManager[Any]] = []
+def _feature_options(features: Iterable[str]) -> Dict[str, Any]:
+    """The run-option fields that switch each feature layer on."""
+    options: Dict[str, Any] = {}
     for feature in features:
         if feature == "obs":
-            contexts.append(tracing(Tracer()))
+            options["tracer"] = Tracer()
         elif feature == "governor":
             # An infinite budget attaches the governor's hot-path hooks
             # (charge, fault-in probes) without ever spilling, which is
             # exactly the "what does the layer cost when idle" question.
-            contexts.append(governed(GovernorSpec(math.inf)))
+            options["governor"] = GovernorSpec(math.inf)
         elif feature == "shard":
             # K=1 routes every tuple through router and merger while
             # replaying the unsharded execution, isolating routing cost.
-            contexts.append(sharding(1))
+            options["shards"] = 1
         elif feature != "resilience":  # resilience is a factory knob
             raise ConfigError(
                 f"unknown feature {feature!r}; choose from {FEATURES}"
             )
-    return contexts
+    return options
 
 
 def normalize_features(
@@ -141,7 +136,7 @@ def run_profile(
     features: Sequence[str] = (),
     profile: bool = True,
     workload: Any = None,
-    batch_size: Optional[int] = None,
+    batch_size: int = 1,
 ) -> ProfileRun:
     """Execute *preset* once; workload generation stays untimed.
 
@@ -153,15 +148,12 @@ def run_profile(
         workload = preset.workload(scale)
     factory = preset.factory(resilience="resilience" in features)
     profiler = Profiler() if profile else None
-    with contextlib.ExitStack() as stack:
-        for context in _feature_contexts(features):
-            stack.enter_context(context)
-        if profiler is not None:
-            stack.enter_context(profiling(profiler))
+    with run_options(
+        profiler=profiler, batch_size=batch_size, **_feature_options(features)
+    ):
         begin = time.perf_counter()
         run = run_join_experiment(
-            factory, workload, label=f"profile:{preset.name}",
-            batch_size=batch_size,
+            factory, workload, label=f"profile:{preset.name}"
         )
         wall = time.perf_counter() - begin
     return ProfileRun(preset, list(features), run, profiler, wall)
@@ -442,7 +434,7 @@ def add_profile_args(parser: argparse.ArgumentParser) -> None:
         help="grid repetitions per variant; fastest wall time kept",
     )
     parser.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
+        "--batch-size", type=positive_int, default=1, metavar="N",
         help="admit source tuples in micro-batches of N per scheduler "
              "event for the profiled run (outcome is byte-identical to "
              "the default N=1; only wall time moves)",
@@ -487,7 +479,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         log.error(str(exc))
         return 2
 
-    batch_size = getattr(args, "batch_size", None)
+    batch_size = args.batch_size
     try:
         batch_sizes = [
             int(part) for part in
@@ -505,7 +497,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     )
     snapshot = profiled.run.profile
     assert snapshot is not None and profiled.profiler is not None
-    batch_note = f" | batch {batch_size}" if batch_size else ""
+    batch_note = f" | batch {batch_size}" if batch_size != 1 else ""
     print(f"profile: {preset.name} @ scale {args.scale:g} | features "
           f"{','.join(features) or 'none'}{batch_note} "
           f"| wall {profiled.wall_s:.3f}s "

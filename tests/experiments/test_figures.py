@@ -11,6 +11,17 @@ import pytest
 from repro.experiments import figures
 from repro.experiments.ablations import ALL_ABLATIONS
 from repro.experiments.figures import ALL_FIGURES, Check, FigureResult
+from repro.experiments.harness import run_options
+
+# The ablations whose checks read per-join quantities (index builds,
+# propagation runs, on-the-fly drops, disk writes, stage-2 runs).
+PER_JOIN_ABLATIONS = [
+    "ablation_index_building",
+    "ablation_propagation_mode",
+    "ablation_on_the_fly_drop",
+    "ablation_memory_threshold",
+    "ablation_reactive_disk_join",
+]
 
 
 class TestRegistry:
@@ -34,6 +45,25 @@ def test_figure_smoke(name):
     report = result.render()
     assert result.figure_id in report
     assert "Shape checks" in report
+
+
+@pytest.mark.parametrize("name", PER_JOIN_ABLATIONS)
+def test_ablation_sums_its_quantities_over_shards(name):
+    """Sharded runs sum each checked quantity over the shards.
+
+    One shard replays the unsharded run, so its check reports must read
+    exactly as the unsharded ones do.
+    """
+    plain = ALL_ABLATIONS[name](scale=0.06)
+    with run_options(shards=1):
+        one_shard = ALL_ABLATIONS[name](scale=0.06)
+    with run_options(shards=2):
+        two_shards = ALL_ABLATIONS[name](scale=0.06)
+    assert isinstance(two_shards, FigureResult)
+    assert two_shards.checks
+    assert [(c.description, c.passed) for c in one_shard.checks] == [
+        (c.description, c.passed) for c in plain.checks
+    ]
 
 
 class TestShapesAtModestScale:

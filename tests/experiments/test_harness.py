@@ -1,14 +1,23 @@
 """Unit tests for the experiment harness."""
 
+import pickle
+
 import pytest
 
 from repro.core.config import PJoinConfig
+from repro.errors import ConfigError
 from repro.experiments.harness import (
+    RunOptions,
+    active_options,
     pjoin_factory,
     run_join_experiment,
+    run_options,
     shj_factory,
     xjoin_factory,
 )
+from repro.memory.budget import GovernorSpec
+from repro.planner import PlannerSpec
+from repro.skew.manager import SkewSpec
 from repro.workloads.generator import generate_workload
 
 
@@ -79,3 +88,46 @@ def test_output_rate_windows(workload):
 def test_keep_items_retains_results(workload):
     run = run_join_experiment(pjoin_factory(), workload, keep_items=True)
     assert len(run.sink.results) == run.results
+
+
+class TestRunOptions:
+    def test_nested_block_replaces_named_fields_then_restores(self, workload):
+        spec = GovernorSpec(budget_tuples=100)
+        assert active_options() == RunOptions()
+        with run_options(shards=2) as outer:
+            with run_options(governor=spec) as inner:
+                assert active_options() is inner
+                assert inner == RunOptions(shards=2, governor=spec)
+                run = run_join_experiment(pjoin_factory(), workload)
+            assert active_options() is outer
+            # A whole value replaces every field, the outer ones too.
+            with run_options(RunOptions(batch_size=4)):
+                assert active_options() == RunOptions(batch_size=4)
+            with pytest.raises(RuntimeError):
+                with run_options(shards=3):
+                    raise RuntimeError("restore on the way out")
+            assert active_options() is outer
+        assert active_options() == RunOptions()
+        assert len(run.join.shards) == 2
+        assert all(shard.governor is not None for shard in run.join.shards)
+
+    @pytest.mark.parametrize(
+        "fields", [{"shards": 0}, {"batch_size": 0}, {"batch_size": -3}]
+    )
+    def test_counts_below_one_rejected(self, fields):
+        with pytest.raises(ConfigError):
+            RunOptions(**fields)
+        with pytest.raises(ConfigError):
+            with run_options(**fields):
+                pass
+        assert active_options() == RunOptions()
+
+    def test_build_fields_survive_pickle(self):
+        options = RunOptions(
+            shards=2,
+            governor=GovernorSpec(budget_tuples=100, policy="skew-aware"),
+            skew=SkewSpec(hot_keys=True),
+            planner=PlannerSpec(mode="adaptive", reopt_interval=3),
+            batch_size=8,
+        )
+        assert pickle.loads(pickle.dumps(options)) == options

@@ -53,9 +53,9 @@ class TestFiguresWithBudget:
         assert code == 0
         assert "Figure 6" in capsys.readouterr().out
 
-    def test_budget_refuses_parallel_jobs(self, capsys):
-        code = main(
-            ["figures", "--all", "--jobs", "2", "--memory-budget", "100"]
-        )
-        assert code == 2
-        assert "--jobs" in capsys.readouterr().err
+    def test_budget_crosses_parallel_jobs(self, assert_jobs_match_serial):
+        # fig_nary_adaptive ships a governed NaryPJoin back from a worker.
+        assert assert_jobs_match_serial(
+            "figure6", "fig_nary_adaptive", "--scale", "0.06",
+            "--memory-budget", "100",
+        ) == 0

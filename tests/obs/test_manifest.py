@@ -6,7 +6,7 @@ from repro.core.config import PJoinConfig
 from repro.experiments.harness import (
     pjoin_factory,
     run_join_experiment,
-    tracing,
+    run_options,
 )
 from repro.obs.export import to_chrome_trace, validate_chrome_trace
 from repro.obs.manifest import MANIFEST_VERSION, diff_counters
@@ -88,13 +88,15 @@ class TestAcceptanceRun:
 
     def run_traced(self):
         tracer = Tracer()
-        run = run_join_experiment(
-            pjoin_factory(PJoinConfig(purge_threshold=5, memory_threshold=60)),
-            small_workload(n=600),
-            label="fig08-like",
-            cost_model=CostModel().scaled(0.01),
-            tracer=tracer,
-        )
+        with run_options(tracer=tracer):
+            run = run_join_experiment(
+                pjoin_factory(
+                    PJoinConfig(purge_threshold=5, memory_threshold=60)
+                ),
+                small_workload(n=600),
+                label="fig08-like",
+                cost_model=CostModel().scaled(0.01),
+            )
         return run, tracer
 
     def test_manifest_has_nonzero_probe_purge_and_disk_counters(self):
@@ -119,12 +121,14 @@ class TestZeroCostWhenOff:
     """Tracing must not change the simulation, and off means off."""
 
     def run_once(self, tracer=None):
-        return run_join_experiment(
-            pjoin_factory(PJoinConfig(purge_threshold=5, memory_threshold=60)),
-            small_workload(n=300),
-            cost_model=CostModel().scaled(0.01),
-            tracer=tracer,
-        )
+        with run_options(tracer=tracer):
+            return run_join_experiment(
+                pjoin_factory(
+                    PJoinConfig(purge_threshold=5, memory_threshold=60)
+                ),
+                small_workload(n=300),
+                cost_model=CostModel().scaled(0.01),
+            )
 
     def test_traced_and_untraced_runs_are_identical(self):
         untraced = self.run_once()
@@ -144,17 +148,17 @@ class TestZeroCostWhenOff:
 
 class TestTracingContext:
     def test_context_applies_to_runs_inside_the_block(self):
-        with tracing() as tracer:
+        with run_options(tracer=Tracer()) as options:
             run = run_join_experiment(
                 pjoin_factory(PJoinConfig(purge_threshold=3)),
                 small_workload(n=100),
                 cost_model=CostModel().scaled(0.01),
             )
-        assert run.tracer is tracer
-        assert len(tracer.events) > 0
+        assert run.tracer is options.tracer
+        assert len(options.tracer.events) > 0
 
     def test_context_restores_previous_state(self):
-        with tracing():
+        with run_options(tracer=Tracer()):
             pass
         run = run_join_experiment(
             pjoin_factory(), small_workload(n=50),

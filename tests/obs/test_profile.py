@@ -20,15 +20,12 @@ from repro.core.nary import NaryPJoin
 from repro.experiments.export import save_figure_json
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.harness import (
-    active_profiler,
-    governed,
+    active_options,
     nary_pjoin_factory,
     pjoin_factory,
-    profiling,
     run_join_experiment,
-    sharding,
+    run_options,
     shj_factory,
-    tracing,
     xjoin_factory,
 )
 from repro.memory.budget import GovernorSpec
@@ -135,17 +132,10 @@ class TestAttribution:
 
 
 class TestInstrumentAndRestore:
-    def run_once(self, factory, workload, **features):
-        import contextlib
-
-        with contextlib.ExitStack() as stack:
-            if features.get("obs"):
-                stack.enter_context(tracing(Tracer()))
-            if features.get("shards"):
-                stack.enter_context(sharding(features["shards"]))
-            if features.get("governor"):
-                stack.enter_context(governed(features["governor"]))
-            profiler = stack.enter_context(profiling())
+    def run_once(self, factory, workload, obs=False, **features):
+        profiler = Profiler()
+        tracer = Tracer() if obs else None
+        with run_options(profiler=profiler, tracer=tracer, **features):
             run = run_join_experiment(factory, workload, label="profiled")
         return run, profiler
 
@@ -245,10 +235,11 @@ class TestInstrumentAndRestore:
         assert governor_calls >= probes + inserts > 0
 
     def test_no_profiler_active_outside_context(self):
-        assert active_profiler() is None
-        with profiling() as prof:
-            assert active_profiler() is prof
-        assert active_profiler() is None
+        assert active_options().profiler is None
+        prof = Profiler()
+        with run_options(profiler=prof):
+            assert active_options().profiler is prof
+        assert active_options().profiler is None
 
 
 class TestProfiledEqualsUnprofiled:
@@ -256,7 +247,7 @@ class TestProfiledEqualsUnprofiled:
         workload = small_workload()
         factory = pjoin_factory(PJoinConfig(purge_threshold=1))
         plain = run_join_experiment(factory, workload, label="run")
-        with profiling():
+        with run_options(profiler=Profiler()):
             profiled = run_join_experiment(factory, workload, label="run")
         assert plain.profile is None
         assert profiled.profile is not None
@@ -268,7 +259,7 @@ class TestProfiledEqualsUnprofiled:
         plain_path = tmp_path / "plain.json"
         profiled_path = tmp_path / "profiled.json"
         save_figure_json(ALL_FIGURES["figure5"](scale=0.06), plain_path)
-        with profiling():
+        with run_options(profiler=Profiler()):
             save_figure_json(ALL_FIGURES["figure5"](scale=0.06), profiled_path)
         assert profiled_path.read_bytes() == plain_path.read_bytes()
 
@@ -277,7 +268,7 @@ class TestProfiledEqualsUnprofiled:
         # probe-cost interceptor: same virtual outcome either way.
         workload = small_workload(n=150)
         factory = pjoin_factory(PJoinConfig(purge_threshold=1))
-        with profiling():
+        with run_options(profiler=Profiler()):
             run_join_experiment(factory, workload, label="first")
         after = run_join_experiment(factory, workload, label="second")
         before = run_join_experiment(factory, workload, label="second")

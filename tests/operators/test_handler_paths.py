@@ -32,7 +32,7 @@ from repro.core.nary import NaryPJoin
 from repro.core.pjoin import PJoin
 from repro.core.windowed import WindowedPJoin
 from repro.errors import ContractViolationError
-from repro.experiments.harness import run_join_experiment
+from repro.experiments.harness import run_join_experiment, run_options
 from repro.memory.budget import GovernorSpec
 from repro.obs.trace import Tracer
 from repro.operators import fastpath
@@ -234,9 +234,10 @@ def summarize(case):
     """Counters, event count, finish time and output digests of one case."""
     factory, make_input = CASES[case]
     tracer = Tracer() if case == TRACED_CASE else None
-    run = run_join_experiment(
-        factory, make_input(), label=case, keep_items=True, tracer=tracer
-    )
+    with run_options(tracer=tracer):
+        run = run_join_experiment(
+            factory, make_input(), label=case, keep_items=True
+        )
     out = {
         "counters": run.join.counters(),
         "events_executed": run.manifest["engine"]["events_executed"],

@@ -22,9 +22,9 @@ from repro.errors import ContractViolationError
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.export import save_figure_json
 from repro.experiments.harness import (
-    batching,
     pjoin_factory,
     run_join_experiment,
+    run_options,
 )
 from repro.operators.sink import Sink
 from repro.profiling.presets import resolve_preset
@@ -40,15 +40,15 @@ PRESETS = ["fig5_pjoin", "fig5_xjoin", "fig5_shj", "fig8_pjoin_lazy"]
 SCALE = 0.12
 
 
-def run_preset(name, scale=SCALE, keep_items=False, batch_size=None):
+def run_preset(name, scale=SCALE, keep_items=False, batch_size=1):
     preset = resolve_preset(name)
-    return run_join_experiment(
-        preset.factory(),
-        preset.workload(scale),
-        label=name,
-        keep_items=keep_items,
-        batch_size=batch_size,
-    )
+    with run_options(batch_size=batch_size):
+        return run_join_experiment(
+            preset.factory(),
+            preset.workload(scale),
+            label=name,
+            keep_items=keep_items,
+        )
 
 
 def chaos_workload(scale=SCALE):
@@ -84,16 +84,19 @@ class TestBatchedEquivalence:
         ]
 
     def test_batching_context_applies(self):
+        preset = resolve_preset("fig5_pjoin")
         base = run_preset("fig5_pjoin")
-        with batching(32):
-            ctx = run_preset("fig5_pjoin")
+        with run_options(batch_size=32):
+            ctx = run_join_experiment(
+                preset.factory(), preset.workload(SCALE), label="fig5_pjoin"
+            )
         assert base.manifest == ctx.manifest
 
     def test_figure_json_byte_identical_batched(self, tmp_path):
         base_path = tmp_path / "base.json"
         batched_path = tmp_path / "batched.json"
         save_figure_json(ALL_FIGURES["figure5"](scale=0.06), base_path)
-        with batching(64):
+        with run_options(batch_size=64):
             save_figure_json(ALL_FIGURES["figure5"](scale=0.06), batched_path)
         assert base_path.read_bytes() == batched_path.read_bytes()
 
@@ -101,7 +104,8 @@ class TestBatchedEquivalence:
         wl = chaos_workload()
         factory = pjoin_factory(PJoinConfig(purge_threshold=2))
         base = run_join_experiment(factory, wl, label="chaos")
-        batched = run_join_experiment(factory, wl, label="chaos", batch_size=16)
+        with run_options(batch_size=16):
+            batched = run_join_experiment(factory, wl, label="chaos")
         assert base.manifest == batched.manifest
 
 

@@ -117,6 +117,12 @@ class TestComparisonGate:
 
 
 class TestBenchCli:
+    def test_unknown_case_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            bench_main(["--cases", "nope"])
+        assert excinfo.value.code == 2
+        assert "argument --cases: invalid choice" in capsys.readouterr().err
+
     def test_writes_report_and_compares(self, tmp_path):
         out = tmp_path / "bench.json"
         baseline = tmp_path / "baseline.json"

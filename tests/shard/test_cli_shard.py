@@ -42,13 +42,11 @@ class TestFiguresShardFlag:
         ) == 0
         assert "Figure 8" in capsys.readouterr().out
 
-    def test_shards_conflicts_with_jobs(self, capsys):
-        code = main(
-            ["figures", "figure5", "--scale", "0.05",
-             "--shards", "2", "--jobs", "2"]
-        )
-        assert code == 2
-        assert "--shards cannot be combined" in capsys.readouterr().err
+    def test_shards_combine_with_jobs(self, assert_jobs_match_serial):
+        assert assert_jobs_match_serial(
+            "figure8", "ablation_memory_threshold", "--scale", "0.05",
+            "--shards", "2",
+        ) == 0
 
 
 class TestDemoShardFlag:

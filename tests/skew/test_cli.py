@@ -1,4 +1,4 @@
-"""CLI surface of the skew layer: `repro skew` and the jobs fallback."""
+"""CLI surface of the skew layer: `repro skew` and `--planner` with `--jobs`."""
 
 import json
 
@@ -40,16 +40,12 @@ class TestSkewCommand:
         assert "skew smoke FAILED" in err
 
 
-class TestPlannerJobsFallback:
-    def test_adaptive_planner_falls_back_to_serial(self, capsys, caplog):
-        code = main(
-            ["figures", "figure6", "--scale", "0.06",
-             "--planner", "adaptive", "--jobs", "2"]
-        )
-        assert code == 0
-        err = capsys.readouterr().err + caplog.text
-        assert "falling back to a serial run" in err
-        assert "--planner adaptive cannot fan out" in err
+class TestPlannerWithJobs:
+    def test_adaptive_planner_crosses_jobs(self, assert_jobs_match_serial):
+        assert assert_jobs_match_serial(
+            "figure6", "fig_nary_adaptive", "--scale", "0.06",
+            "--planner", "adaptive",
+        ) == 0
 
 
 class TestGoldenGate:

@@ -157,14 +157,32 @@ class TestPlan:
         assert "unknown planner preset" in capsys.readouterr().err
 
 
-class TestPlannerJobsFallback:
-    def test_figures_planner_with_jobs_falls_back_to_serial(self, capsys):
-        code = main(
-            [
-                "figures", "figure6", "--scale", "0.06",
-                "--planner", "adaptive", "--jobs", "2",
-            ]
-        )
-        assert code == 0
-        err = capsys.readouterr().err
-        assert "falling back to a serial run" in err
+class TestRunFlagsWithJobs:
+    def test_all_run_flags_cross_jobs(self, assert_jobs_match_serial):
+        assert assert_jobs_match_serial(
+            "figure8", "fig_nary_adaptive", "ablation_index_building",
+            "--scale", "0.05", "--shards", "2", "--memory-budget", "100",
+            "--batch-size", "8", "--planner", "adaptive",
+        ) == 0
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figures", "figure8", "--jobs", "0"],
+            ["chaos", "gentle", "--jobs", "0"],
+            ["figures", "figure8", "--shards", "0"],
+            ["demo", "--shards", "0"],
+            ["figures", "figure8", "--batch-size", "0"],
+            ["demo", "--batch-size", "-1"],
+            ["bench", "--batch-size", "0"],
+            ["profile", "fig5", "--batch-size", "0"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_count_below_one_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {argv[-2]}: invalid" in capsys.readouterr().err
