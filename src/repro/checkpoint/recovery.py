@@ -36,6 +36,7 @@ Crash recovery comes in two flavours sharing this runner:
 from __future__ import annotations
 
 import os
+import traceback
 from bisect import bisect_right
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple as PyTuple
 
@@ -459,6 +460,8 @@ def _resilient_worker_main(
             on_checkpoint=on_checkpoint,
         )
         conn.send(("done", outcome))
+    except Exception:
+        conn.send(("error", traceback.format_exc()))
     finally:
         conn.close()
 
@@ -479,9 +482,11 @@ def run_sharded_resilient(
     worker checkpoints at cover boundaries and the parent supervises:
     a worker whose pipe hits EOF is declared dead, respawned with its
     latest checkpoint, and fed the schedule suffix retained in its
-    :class:`~repro.shard.router.InFlightLog`.  Where ``fork`` is
-    unavailable the shards run in-process with the same checkpoint and
-    (simulated) crash semantics — identical outcome, no parallelism.
+    :class:`~repro.shard.router.InFlightLog`.  A worker that raises is
+    not respawned (the same input would raise again): its traceback is
+    raised as a :class:`RecoveryError`.  Where ``fork`` is unavailable
+    the shards run in-process with the same checkpoint and (simulated)
+    crash semantics — identical outcome, no parallelism.
     """
     import multiprocessing
     from multiprocessing.connection import wait as connection_wait
@@ -616,6 +621,10 @@ def run_sharded_resilient(
                     recovery["checkpoints_taken"] += 1
                 elif kind == "done":
                     outcomes[shard] = message[1]
+                elif kind == "error":
+                    raise RecoveryError(
+                        f"shard {shard} worker raised:\n{message[1]}"
+                    )
     finally:
         for conn in conns.values():
             try:

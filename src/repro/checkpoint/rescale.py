@@ -1,9 +1,10 @@
 """Live shard rescaling: quiesce at a cover boundary, migrate, resume.
 
-``repro shard --rescale K1:K2@t`` runs the first part of a workload on
-K1 shards, stops at the first *global* punctuation-cover boundary at or
-after virtual time ``t``, re-partitions the checkpointed join state
-across K2 shards, and finishes the run there.  The cut must be a cover
+``run_sharded_rescale(workload, RescalePlan(K1, K2, t))`` runs the
+first part of a workload on K1 shards, stops at the first *global*
+punctuation-cover boundary at or after virtual time ``t``,
+re-partitions the checkpointed join state across K2 shards, and
+finishes the run there.  The cut must be a cover
 boundary for the same reason checkpoints sit on one: the quiesce runs
 every shard's end-of-segment disk join and propagation, so the
 migrated snapshot owes no deferred work and the timestamp-dedupe
@@ -79,7 +80,7 @@ class RescalePlan:
 
     @classmethod
     def parse(cls, text: str) -> "RescalePlan":
-        """Parse the CLI form ``K1:K2@t`` (e.g. ``2:4@500``)."""
+        """Parse the text form ``K1:K2@t`` (e.g. ``2:4@500``)."""
         try:
             counts, at = text.split("@", 1)
             before, after = counts.split(":", 1)
@@ -307,7 +308,7 @@ def run_sharded_rescale(
 
     Both phases run the in-process checkpointed shard runner; the
     result and punctuation multisets equal the unsharded operator's
-    (``repro shard --rescale ... --check`` asserts exactly that).
+    (``repro check recovery_smoke`` asserts exactly that).
     """
     cut_ts = _global_cut(workload, rescale.at_ts)
     prefix, suffix = _split_schedules(workload, cut_ts)

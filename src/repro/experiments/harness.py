@@ -56,8 +56,7 @@ class RunOptions:
     and set the sources' batch size; each default is the plain build.
     ``shards`` builds the K-shard stack (K=1 replays the unsharded
     execution exactly), ``governor`` attaches a memory governor (split
-    across shards), ``skew`` attaches the skew layer to PJoin,
-    ``planner`` plans n-ary joins built without their own spec, and
+    across shards), ``skew`` attaches the skew layer to PJoin, and
     ``batch_size`` admits source tuples in vectors of that size
     (results are byte-identical for every value).
 
@@ -71,7 +70,6 @@ class RunOptions:
     shards: Optional[int] = None
     governor: Optional[GovernorSpec] = None
     skew: Optional[SkewSpec] = None
-    planner: Optional[PlannerSpec] = None
     batch_size: int = 1
     tracer: Optional[Tracer] = None
     profiler: Optional[Profiler] = None
@@ -138,8 +136,9 @@ def skewed(spec: Optional[SkewSpec]) -> ContextManager[RunOptions]:
 def positive_int(text: str) -> int:
     """argparse type of the count flags: an integer of at least 1.
 
-    ``--jobs``, ``--shards`` and ``--batch-size`` use it, so a bad
-    count exits 2 with a usage message (argparse reports the
+    The CLI's counts (``--jobs``, ``--shards``, ``--batch-size``,
+    ``--tuples``, ``--purge-threshold``, ``--repeat`` ...) use it, so a
+    bad count exits 2 with a usage message (argparse reports the
     ``ValueError``).
     """
     value = int(text)
@@ -508,21 +507,19 @@ def nary_pjoin_factory(
 ) -> JoinFactory:
     """A factory producing an n-ary PJoin over all workload streams.
 
-    ``planner`` defaults to the active :class:`RunOptions`' planner
-    (the CLI's ``--planner`` flag); both unset builds the unplanned
+    ``planner`` plans its probe order; ``None`` builds the unplanned
     operator.
     """
 
     def build(plan: QueryPlan, workload: GeneratedWorkload) -> Operator:
-        options = _OPTIONS
         return NaryPJoin(
             plan.engine,
             plan.cost_model,
             workload.schemas,
             workload.join_fields,
             config=config,
-            governor=options.governor,
-            planner=planner if planner is not None else options.planner,
+            governor=_OPTIONS.governor,
+            planner=planner,
         )
 
     return build

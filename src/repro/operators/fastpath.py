@@ -6,8 +6,8 @@ instance, with the optional layers present at build bound in and the
 absent ones left out.  :func:`mark` tags such a handler with the names
 of the optional layers it carries, for three readers:
 
-* the profiling ``--check`` gate, which must tell a join's own handler
-  from a leaked profiler shadow (:func:`has_handler`);
+* the profiling contract (``check_profile``), which must tell a join's
+  own handler from a leaked profiler shadow (:func:`has_handler`);
 * pickling, since closures cannot be pickled: :func:`strip_for_pickle`
   drops the handler and each join rebuilds it in ``__setstate__``;
 * the benchmark's ``paper_pjoin`` gate, which requires the bare memory

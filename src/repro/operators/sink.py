@@ -163,6 +163,14 @@ class Sink(Operator):
             counts[tup.values] = counts.get(tup.values, 0) + 1
         return counts
 
+    def punctuation_multiset(self) -> dict:
+        """``{first pattern: count}`` of received punctuations."""
+        counts: dict = {}
+        for punct in self.punctuations:
+            key = punct.patterns[0]
+            counts[key] = counts.get(key, 0) + 1
+        return counts
+
     def cumulative_output_series(self) -> List[PyTuple[float, int]]:
         """``(time, cumulative result count)`` points, one per arrival."""
         return [(t, i + 1) for i, t in enumerate(self.tuple_arrival_times)]

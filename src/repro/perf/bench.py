@@ -633,7 +633,7 @@ def add_bench_args(parser: argparse.ArgumentParser) -> None:
         help=f"subset of cases to run ({', '.join(BENCH_CASES)})",
     )
     parser.add_argument(
-        "--repeat", type=int, default=1,
+        "--repeat", type=positive_int, default=1,
         help="repetitions per case; the fastest wall time is kept",
     )
     parser.add_argument(

@@ -6,8 +6,8 @@ sequence, a miss ends the pipeline early, and punctuation cadence
 decides how much state each side holds when probed.  This package
 chooses — and at runtime *re*-chooses — that order:
 
-* :mod:`~repro.planner.spec` — configuration (``--planner
-  {static,adaptive}``);
+* :mod:`~repro.planner.spec` — configuration (:class:`PlannerSpec`,
+  ``static`` or ``adaptive``);
 * :mod:`~repro.planner.stats` — rolling per-stream statistics from the
   live obs-layer counters;
 * :mod:`~repro.planner.cost` — the virtual-time cost model with the

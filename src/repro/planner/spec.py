@@ -1,8 +1,9 @@
-"""Planner configuration (`--planner {static,adaptive}`).
+"""Planner configuration: one :class:`PlannerSpec` per n-ary join.
 
-A :class:`PlannerSpec` travels from the CLI (or a test) into
-:class:`~repro.core.nary.NaryPJoin` and decides how the operator picks
-its probe and purge orders:
+A :class:`PlannerSpec` is an argument of the n-ary join
+(:class:`~repro.core.nary.NaryPJoin`, ``nary_pjoin_factory(planner=)``)
+that ``repro plan``, the presets and the benchmarks pass, and decides
+how the operator picks its probe and purge orders:
 
 * ``static`` — the order is fixed at construction (``initial_order``,
   default stream order).  With the default order the operator is

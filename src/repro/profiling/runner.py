@@ -11,12 +11,12 @@ Two measurements live here:
   measurement shadows in the path.  ``repro bench --layer-matrix``
   embeds this into ``BENCH_<rev>.json`` per commit.
 
-The ``repro profile`` CLI (``cmd_profile``) also hosts the CI
-``--check`` gate: profiling must not change the simulation (profiled
-and unprofiled runs produce identical manifests), an unprofiled run
-must carry *no* instrumentation shadows (the compiled-out no-op
-property, checked structurally), and the profiled wall overhead must
-stay under a configurable ratio.
+:func:`check_profile` is the profiling contract, which ``repro check
+profile_smoke`` gates: profiling must not change the simulation
+(profiled and unprofiled runs produce identical manifests), an
+unprofiled run must carry *no* instrumentation shadows (the
+compiled-out no-op property, checked structurally), and the profiled
+wall overhead must stay under a bound.
 """
 
 from __future__ import annotations
@@ -324,7 +324,7 @@ def render_histograms(snapshot: Dict[str, Any]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# The --check gate
+# The profiling contract
 # ---------------------------------------------------------------------------
 
 
@@ -430,7 +430,7 @@ def add_profile_args(parser: argparse.ArgumentParser) -> None:
              "layer-cost matrix",
     )
     parser.add_argument(
-        "--repeat", type=int, default=1,
+        "--repeat", type=positive_int, default=1,
         help="grid repetitions per variant; fastest wall time kept",
     )
     parser.add_argument(
@@ -457,17 +457,6 @@ def add_profile_args(parser: argparse.ArgumentParser) -> None:
         "--speedscope", type=Path, default=None, metavar="PATH",
         help="write a speedscope-compatible JSON profile "
              "(open at https://speedscope.app)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="run the profiling contract checks (no-op when off, "
-             "deterministic equivalence, snapshot schema) and exit "
-             "non-zero on any failure",
-    )
-    parser.add_argument(
-        "--max-overhead", type=float, default=DEFAULT_MAX_OVERHEAD,
-        help="with --check: fail when the profiled wall time exceeds "
-             "this multiple of the unprofiled one (default %(default)s)",
     )
 
 
@@ -553,17 +542,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
             report["layer_matrix"] = matrix
         args.out.write_text(json.dumps(report, indent=1) + "\n")
         print(f"\nwrote profile report: {args.out}")
-
-    if args.check:
-        failures = check_profile(
-            preset, args.scale, max_overhead=args.max_overhead
-        )
-        if failures:
-            for failure in failures:
-                log.error("profile check: %s", failure)
-            print("profile check FAILED", file=sys.stderr)
-            return 1
-        print("\nprofile check passed")
     return 0
 
 

@@ -9,7 +9,7 @@ timeline and the exact same counters, every time.  :func:`run_chaos`
 executes a scenario under a chosen fault policy and returns a run whose
 manifest carries a ``resilience`` section summarising what was injected
 and how the stack absorbed it — the ``repro chaos`` CLI command prints
-that summary and diffs it against checked-in goldens in CI.
+that summary, and ``repro check`` diffs it against checked-in goldens.
 """
 
 from __future__ import annotations
@@ -268,11 +268,6 @@ def _run_chaos_crash(
     plan.add_source(workload.schedule_a, join, port=0, name="A")
     plan.add_source(workload.schedule_b, join, port=1, name="B")
     plan.run()
-    reference_results = sink.result_multiset()
-    reference_puncts: Dict[Any, int] = {}
-    for punct in sink.punctuations:
-        key = punct.patterns[0]
-        reference_puncts[key] = reference_puncts.get(key, 0) + 1
 
     outcome = run_sharded_resilient(
         workload,
@@ -299,9 +294,9 @@ def _run_chaos_crash(
         "checkpoint_every": scenario.checkpoint_every,
         "reference_results": sink.tuple_count,
         "results_produced": outcome.result_count,
-        "results_match": int(outcome.result_multiset() == reference_results),
+        "results_match": int(outcome.result_multiset() == sink.result_multiset()),
         "punctuations_match": int(
-            outcome.punctuation_multiset() == reference_puncts
+            outcome.punctuation_multiset() == sink.punctuation_multiset()
         ),
         "checkpoints_taken": int(recovery.get("recovery.checkpoints_taken", 0)),
         "crashes_detected": int(recovery.get("recovery.crashes_detected", 0)),

@@ -182,3 +182,13 @@ class TestSupervisedBackend:
     def test_crash_shard_out_of_range_raises(self, workload):
         with pytest.raises(RecoveryError, match="out of range"):
             run_sharded_resilient(workload, 2, crash=CrashSpec(5, 10))
+
+    def test_worker_exception_is_raised_not_respawned(self, workload):
+        # The same input raises again on every respawn, so the
+        # supervisor must surface the worker's own error at once.
+        with pytest.raises(RecoveryError) as excinfo:
+            run_sharded_resilient(workload, 2, checkpoint_every=0)
+        message = str(excinfo.value)
+        assert "worker raised" in message
+        assert "checkpoint_every must be >= 1, got 0" in message
+        assert "died" not in message

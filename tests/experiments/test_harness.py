@@ -16,7 +16,6 @@ from repro.experiments.harness import (
     xjoin_factory,
 )
 from repro.memory.budget import GovernorSpec
-from repro.planner import PlannerSpec
 from repro.skew.manager import SkewSpec
 from repro.workloads.generator import generate_workload
 
@@ -127,7 +126,6 @@ class TestRunOptions:
             shards=2,
             governor=GovernorSpec(budget_tuples=100, policy="skew-aware"),
             skew=SkewSpec(hot_keys=True),
-            planner=PlannerSpec(mode="adaptive", reopt_interval=3),
             batch_size=8,
         )
         assert pickle.loads(pickle.dumps(options)) == options

@@ -1,34 +1,8 @@
-"""CLI surface of the memory governor: `repro memory` and the flags."""
+"""CLI surface of the memory governor: the budget flags."""
 
 import pytest
 
 from repro.cli import main
-
-
-class TestMemoryCommand:
-    def test_smoke_passes_and_prints_table(self, capsys):
-        code = main(["memory", "--tuples", "400", "--budget", "60"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "PJoin-1" in out and "XJoin" in out
-        assert "b=60" in out
-
-    def test_check_flag_exits_zero_on_pass(self, capsys):
-        assert main(
-            ["memory", "--tuples", "400", "--budget", "60", "--check"]
-        ) == 0
-        assert "memory governor smoke passed" in capsys.readouterr().out
-
-    def test_infinite_budget_is_rejected(self, capsys):
-        assert main(["memory", "--tuples", "400", "--budget", "inf"]) == 2
-        assert "finite" in capsys.readouterr().err
-
-    def test_eviction_policy_is_accepted(self, capsys):
-        code = main(
-            ["memory", "--tuples", "400", "--budget", "60",
-             "--eviction-policy", "punctuation-aware"]
-        )
-        assert code == 0
 
 
 class TestBudgetFlagParsing:

@@ -18,7 +18,6 @@ from repro.memory.budget import GovernorSpec
 from repro.obs.profile import Profiler
 from repro.obs.trace import Tracer
 from repro.perf.parallel import ParallelSweepRunner, _execute_point
-from repro.planner import PlannerSpec
 from repro.resilience.chaos import run_chaos
 from repro.resilience.policy import QUARANTINE
 from repro.skew.manager import SkewSpec
@@ -68,7 +67,6 @@ RUN_OPTIONS = {
     "shards": RunOptions(shards=2),
     "governor": RunOptions(governor=GovernorSpec(budget_tuples=100)),
     "batch": RunOptions(batch_size=8),
-    "planner": RunOptions(planner=PlannerSpec(mode="adaptive")),
     "skew": RunOptions(skew=SkewSpec()),
 }
 

@@ -1,4 +1,4 @@
-"""Profiling presets, the layer-cost matrix, the --check gate, the CLI."""
+"""Profiling presets, the layer-cost matrix, the contract, the CLI."""
 
 import json
 
@@ -172,14 +172,6 @@ class TestProfileCli:
         assert collapsed.read_text().strip()
         scope = json.loads(speedscope.read_text())
         assert scope["profiles"][0]["weights"]
-
-    def test_check_flag(self, capsys):
-        rc = profile_main([
-            "fig5", "--scale", str(SCALE), "--check",
-            "--max-overhead", "100",
-        ])
-        assert rc == 0
-        assert "profile check passed" in capsys.readouterr().out
 
     def test_grid_flag(self, capsys):
         rc = profile_main(["fig5_shj", "--scale", str(SCALE), "--grid"])
