@@ -1,8 +1,38 @@
-"""CLI surface of the memory governor: the budget flags."""
+"""CLI surface of the memory governor: its check and the budget flags."""
+
+from pathlib import Path
 
 import pytest
 
+from repro import checks
 from repro.cli import main
+
+REPO = Path(__file__).resolve().parents[2]
+
+
+class TestMemoryCommand:
+    """The old ``repro memory`` smoke, now ``repro check memory_smoke``."""
+
+    def test_smoke_passes_and_prints_table(self):
+        summary, failures = checks.memory_smoke()
+        assert failures == []
+        for algo in ("PJoin-1", "XJoin"):
+            row = {
+                tag: (summary[f"{algo} b={tag}.results"],
+                      summary[f"{algo} b={tag}.spills"],
+                      summary[f"{algo} b={tag}.finish_ms"])
+                for tag in ("none", "inf", "100")
+            }
+            assert row["inf"] == row["none"]
+            assert row["none"][1] == 0
+            assert row["100"][0] == row["none"][0]
+            assert row["100"][1] > 0
+
+    def test_check_flag_exits_zero_on_pass(self, monkeypatch, capsys):
+        # Without --goldens, `repro check` reads tests/goldens in the cwd.
+        monkeypatch.chdir(REPO)
+        assert main(["check", "memory_smoke"]) == 0
+        assert "memory_smoke: ok" in capsys.readouterr().out
 
 
 class TestBudgetFlagParsing:

@@ -1,58 +1,59 @@
-"""CLI surface of the skew layer: `repro skew` and `--planner` with `--jobs`."""
+"""The skew layer's smoke: ``repro check skew_smoke``."""
 
-import json
+from pathlib import Path
 
+import pytest
+
+from repro import checks
 from repro.cli import main
+
+REPO = Path(__file__).resolve().parents[2]
+
+
+@pytest.fixture(scope="module")
+def skew_smoke():
+    """skew_smoke's summary and failures, and the runs of its variants."""
+    runs = {}
+    run_variants = checks.run_variants
+
+    def recording(variants):
+        outcome = run_variants(variants)
+        runs.update(outcome[0])
+        return outcome
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checks, "run_variants", recording)
+        summary, failures = checks.skew_smoke()
+    return summary, failures, runs
 
 
 class TestSkewCommand:
-    def test_smoke_passes_and_prints_tables(self, capsys):
-        code = main(["skew", "--tuples", "800", "--seed", "7"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "adaptive" in out and "sharded hot-key" in out
-        assert "adaptive.splits" in out
-        assert "hotkey.hot_activations" in out
+    """The old ``repro skew`` smoke, now the skew_smoke check."""
 
-    def test_variants_stay_equivalent(self, capsys):
-        assert main(["skew", "--tuples", "800"]) == 0
-        assert "MISMATCH" not in capsys.readouterr().out
+    def test_smoke_passes_and_prints_tables(self, skew_smoke):
+        summary, failures, _runs = skew_smoke
+        assert failures == []
+        assert summary["adaptive.splits"] > 0
+        assert summary["hotkey.hot_activations"] > 0
+        assert summary["hotkey.replica_copies"] > 0
 
-    def test_single_shard_is_rejected(self, capsys):
-        assert main(["skew", "--tuples", "200", "--shards", "1"]) == 2
-        assert "--shards" in capsys.readouterr().err
-
-    def test_check_fails_on_missing_golden(self, tmp_path, capsys):
-        code = main(
-            ["skew", "--tuples", "800", "--check", str(tmp_path)]
-        )
-        assert code == 1
-        assert "missing golden" in capsys.readouterr().err
-
-    def test_check_reports_drift_per_key(self, tmp_path, capsys):
-        (tmp_path / "skew_smoke.json").write_text(
-            json.dumps({"results": -1})
-        )
-        code = main(["skew", "--tuples", "800", "--check", str(tmp_path)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "drift in skew_smoke.results" in err
-        assert "skew smoke FAILED" in err
-
-
-class TestPlannerWithJobs:
-    def test_adaptive_planner_crosses_jobs(self, assert_jobs_match_serial):
-        assert assert_jobs_match_serial(
-            "figure6", "fig_nary_adaptive", "--scale", "0.06",
-            "--planner", "adaptive",
-        ) == 0
+    def test_variants_stay_equivalent(self, skew_smoke):
+        _summary, _failures, runs = skew_smoke
+        assert list(runs) == [
+            "static", "adaptive", "sharded static", "sharded hot-key",
+        ]
+        reference = runs["static"].sink.result_multiset()
+        assert reference
+        for run in runs.values():
+            assert run.sink.result_multiset() == reference
 
 
 class TestGoldenGate:
-    def test_default_parameters_match_committed_golden(self):
+    def test_default_parameters_match_committed_golden(self, monkeypatch):
         """The committed golden matches a default-parameter run.
 
-        This is the same gate CI's skew-smoke job runs; keeping it in
-        the suite means drift is caught before a push, not after.
+        ``repro check`` without ``--goldens`` reads ``tests/goldens``
+        from the repo root, as a developer runs it before a push.
         """
-        assert main(["skew", "--check", "tests/goldens"]) == 0
+        monkeypatch.chdir(REPO)
+        assert main(["check", "skew_smoke"]) == 0
