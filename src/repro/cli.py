@@ -11,8 +11,6 @@ Commands:
   print the span timeline; export Chrome trace JSON / JSONL / manifests;
 * ``metrics`` — run a workload or preset and print the per-operator
   counter registries from its run manifest;
-* ``obs`` — the observability group: ``obs trace`` and ``obs metrics``
-  are aliases of the two commands above;
 * ``chaos`` — run deterministic fault-injection scenarios (contract
   violations, disorder, disk faults, source stalls) under a chosen
   fault policy and print their resilience counter summaries;
@@ -98,23 +96,12 @@ def _add_memory_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_batch_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--batch-size", type=positive_int, default=1, metavar="N",
-        help="admit source tuples in micro-batches of N per scheduler "
-             "event (default 1); results are byte-identical to the "
-             "unbatched run, only wall-clock time changes",
-    )
-
-
 def _run_options(args: argparse.Namespace) -> RunOptions:
     """The run options that the figures/demo build flags request."""
     governor = None
     if args.memory_budget is not None:
         governor = GovernorSpec(args.memory_budget, policy=args.eviction_policy)
-    return RunOptions(
-        shards=args.shards, governor=governor, batch_size=args.batch_size
-    )
+    return RunOptions(shards=args.shards, governor=governor)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
              "and run manifests) to DIR/<name>.json",
     )
     _add_memory_args(figures_cmd)
-    _add_batch_args(figures_cmd)
     figures_cmd.set_defaults(func=cmd_figures)
 
     demo_cmd = sub.add_parser(
@@ -193,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run both joins as K-shard stacks",
     )
     _add_memory_args(demo_cmd)
-    _add_batch_args(demo_cmd)
     demo_cmd.set_defaults(func=cmd_demo)
 
     _add_plan_parser(sub)
@@ -203,18 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bench_parser(sub)
     _add_profile_parser(sub)
     _add_check_parser(sub)
-
-    obs_cmd = sub.add_parser(
-        "obs",
-        help="observability tools: span tracing and counter registries",
-        description="Observability tools built on the repro.obs layer: "
-                    "'obs trace' prints and exports span timelines, "
-                    "'obs metrics' prints per-operator counter registries.",
-    )
-    obs_sub = obs_cmd.add_subparsers(dest="obs_command", required=True)
-    _add_trace_parser(obs_sub)
-    _add_metrics_parser(obs_sub)
-
     return parser
 
 

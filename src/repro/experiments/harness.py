@@ -52,13 +52,11 @@ JoinFactory = Callable[[QueryPlan, GeneratedWorkload], Operator]
 class RunOptions:
     """How every experiment run is built and observed.
 
-    The build fields switch feature layers on in the stock factories
-    and set the sources' batch size; each default is the plain build.
-    ``shards`` builds the K-shard stack (K=1 replays the unsharded
-    execution exactly), ``governor`` attaches a memory governor (split
-    across shards), ``skew`` attaches the skew layer to PJoin, and
-    ``batch_size`` admits source tuples in vectors of that size
-    (results are byte-identical for every value).
+    The build fields switch feature layers on in the stock factories;
+    each default is the plain build.  ``shards`` builds the K-shard
+    stack (K=1 replays the unsharded execution exactly), ``governor``
+    attaches a memory governor (split across shards), and ``skew``
+    attaches the skew layer to PJoin.
 
     ``tracer`` and ``profiler`` are observers: live objects that
     collect the events and timings of every run they see, so they stay
@@ -70,15 +68,12 @@ class RunOptions:
     shards: Optional[int] = None
     governor: Optional[GovernorSpec] = None
     skew: Optional[SkewSpec] = None
-    batch_size: int = 1
     tracer: Optional[Tracer] = None
     profiler: Optional[Profiler] = None
 
     def __post_init__(self) -> None:
         if self.shards is not None and self.shards < 1:
             raise ConfigError(f"need at least one shard, got {self.shards}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
 
 
 _OPTIONS = RunOptions()
@@ -136,10 +131,9 @@ def skewed(spec: Optional[SkewSpec]) -> ContextManager[RunOptions]:
 def positive_int(text: str) -> int:
     """argparse type of the count flags: an integer of at least 1.
 
-    The CLI's counts (``--jobs``, ``--shards``, ``--batch-size``,
-    ``--tuples``, ``--purge-threshold``, ``--repeat`` ...) use it, so a
-    bad count exits 2 with a usage message (argparse reports the
-    ``ValueError``).
+    The CLI's counts (``--jobs``, ``--shards``, ``--tuples``,
+    ``--purge-threshold``, ``--repeat`` ...) use it, so a bad count
+    exits 2 with a usage message (argparse reports the ``ValueError``).
     """
     value = int(text)
     if value < 1:
@@ -275,8 +269,7 @@ def run_join_experiment(
     """Execute one join over one workload and return its measurements.
 
     The active :class:`RunOptions` (see :func:`run_options`) decide how
-    the join is built, how the sources batch, and whether a tracer or
-    profiler watches the run.
+    the join is built and whether a tracer or profiler watches the run.
 
     Parameters
     ----------
@@ -340,10 +333,7 @@ def execute_join_experiment(
         chr(ord("A") + i) for i in range(len(schedules))
     )
     for port, (schedule, source_name) in enumerate(zip(schedules, names)):
-        plan.add_source(
-            schedule, join, port=port, name=source_name,
-            batch_size=options.batch_size,
-        )
+        plan.add_source(schedule, join, port=port, name=source_name)
     collector = MetricsCollector(plan.engine, interval_ms=sample_interval_ms)
     collector.register_gauge("state_total", join.total_state_size)
     for port, source_name in enumerate(names):

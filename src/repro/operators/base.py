@@ -66,6 +66,11 @@ class Operator:
         self._finished = False
         self._busy = False
         self._outbox: List[Any] = []
+        # The one completion in flight (``_busy`` guards it): its outbox,
+        # whether it ends the stream, and its cached event.
+        self._inflight: List[Any] = []
+        self._inflight_final = False
+        self._complete_event = self._complete
         self._downstream: Optional["Operator"] = None
         self._downstream_port = 0
         # --- metrics ----------------------------------------------------
@@ -167,17 +172,18 @@ class Operator:
         if cost < 0:
             raise OperatorError(f"{self.name} computed a negative cost {cost!r}")
         self.busy_time += cost
-        outbox = self._outbox
+        self._inflight = self._outbox
+        self._inflight_final = final
         self._outbox = []
         self._busy = True
+        self.engine.schedule(cost, self._complete_event)
 
-        def complete() -> None:
-            self._busy = False
-            self._finish_item(outbox, final)
-            if not self._busy:
-                self._pump()
-
-        self.engine.schedule(cost, complete)
+    def _complete(self) -> None:
+        """The in-flight completion: deliver its outbox, then pump."""
+        self._busy = False
+        self._finish_item(self._inflight, self._inflight_final)
+        if not self._busy:
+            self._pump()
 
     def _finish_item(self, outbox: List[Any], final: bool) -> None:
         """Deliver one item's emissions (and end-of-stream if *final*)."""

@@ -119,30 +119,6 @@ def _prepare_fig5_xjoin(scale: float) -> Callable[[], Dict[str, Any]]:
     return _fig5_case(scale, xjoin_factory(), "bench:fig5:XJoin")
 
 
-def _prepare_fig5_batched(scale: float) -> Callable[[], Dict[str, Any]]:
-    # The fig5_pjoin workload with vectorized source admission (batch
-    # 64).  The deterministic outcome is identical to fig5_pjoin by
-    # construction (the equivalence suite proves it); only the wall
-    # time moves, which is exactly what this case measures.
-    workload = generate_workload(
-        n_tuples_per_stream=_scaled(10_000, scale),
-        punct_spacing_a=40,
-        punct_spacing_b=40,
-        seed=5,
-    )
-    factory = pjoin_factory(PJoinConfig(purge_threshold=1))
-
-    def run() -> Dict[str, Any]:
-        with run_options(batch_size=64):
-            return _experiment_outcome(
-                run_join_experiment(
-                    factory, workload, label="bench:fig5:PJoin-1-b64"
-                )
-            )
-
-    return run
-
-
 def _prepare_fig5_xjoin_tight(scale: float) -> Callable[[], Dict[str, Any]]:
     # The governor hot path: XJoin's ever-growing state against a warm
     # budget of 1/16th of one stream, so every probe risks a fault-in
@@ -292,12 +268,6 @@ BENCH_CASES: Dict[str, BenchCase] = {
             "fig5_xjoin",
             "Figure 5 workload (40 t/p, seed 5), XJoin comparator",
             _prepare_fig5_xjoin,
-        ),
-        BenchCase(
-            "fig5_pjoin_batched",
-            "Figure 5 workload (40 t/p, seed 5), PJoin with eager purge, "
-            "micro-batched sources (batch 64)",
-            _prepare_fig5_batched,
         ),
         BenchCase(
             "fig5_pjoin_sharded",
@@ -670,14 +640,6 @@ def add_bench_args(parser: argparse.ArgumentParser) -> None:
         help="governor eviction policy (default %(default)s)",
     )
     parser.add_argument(
-        "--batch-size", type=positive_int, default=1, metavar="N",
-        help="run every in-process case with micro-batched sources "
-             "(N tuples admitted per scheduler event; results are "
-             "byte-identical to the unbatched run, only wall time moves); "
-             "wall times will not be comparable to an unbatched baseline, "
-             "so combine with --no-compare",
-    )
-    parser.add_argument(
         "--layer-matrix", action="store_true",
         help="also run the feature-toggle grid (obs/resilience/governor/"
              "shard on and off) on the fig5_pjoin preset and record the "
@@ -701,7 +663,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         spec = GovernorSpec(
             budget_tuples=args.memory_budget, policy=args.eviction_policy
         )
-    with run_options(RunOptions(governor=spec, batch_size=args.batch_size)):
+    with run_options(RunOptions(governor=spec)):
         report = run_bench(
             scale=scale,
             cases=args.cases,

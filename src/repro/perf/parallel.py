@@ -17,7 +17,7 @@ without modifying any experiment function, in three passes:
    exactly the objects a serial run would have produced.
 
 Every worker runs under the parent's :class:`RunOptions`, passed as an
-argument, so shards, governor, skew, planner and batch size reach each
+argument, so its build fields (shards, governor and skew) reach each
 point.  The tracer and profiler do not: they collect events in the
 process that holds them, so the runner refuses them with ``jobs > 1``.
 

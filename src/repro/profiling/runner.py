@@ -136,21 +136,13 @@ def run_profile(
     features: Sequence[str] = (),
     profile: bool = True,
     workload: Any = None,
-    batch_size: int = 1,
 ) -> ProfileRun:
-    """Execute *preset* once; workload generation stays untimed.
-
-    *batch_size* admits source tuples in micro-batches of that many per
-    scheduler event; the simulation outcome is byte-identical to the
-    default item-at-a-time admission, only wall time moves.
-    """
+    """Execute *preset* once; workload generation stays untimed."""
     if workload is None:
         workload = preset.workload(scale)
     factory = preset.factory(resilience="resilience" in features)
     profiler = Profiler() if profile else None
-    with run_options(
-        profiler=profiler, batch_size=batch_size, **_feature_options(features)
-    ):
+    with run_options(profiler=profiler, **_feature_options(features)):
         begin = time.perf_counter()
         run = run_join_experiment(
             factory, workload, label=f"profile:{preset.name}"
@@ -168,7 +160,6 @@ def layer_cost_matrix(
     preset_name: str = "fig5_pjoin",
     scale: float = DEFAULT_SCALE,
     repeat: int = 1,
-    batch_sizes: Sequence[int] = (1,),
 ) -> Dict[str, Any]:
     """Wall-clock cost of each feature layer, measured by toggling it.
 
@@ -177,13 +168,6 @@ def layer_cost_matrix(
     runs; ``overhead_pct`` is relative to the baseline's wall time.
     No profiler shadows are installed — the matrix measures the
     features themselves, not the measurement.
-
-    *batch_sizes* adds a source micro-batching axis: the whole variant
-    grid is re-measured at each batch size (every run stays
-    byte-identical in outcome; only wall time moves).  The first batch
-    size fills the top-level ``variants`` (schema-compatible with the
-    single-axis matrix); when more than one size is given, the full
-    per-size grids land in ``batch_variants``.
     """
     preset = resolve_preset(preset_name)
     workload = preset.workload(scale)
@@ -193,51 +177,39 @@ def layer_cost_matrix(
     if len(preset.features) > 1:
         variant_features["all"] = list(preset.features)
 
-    def measure_grid(batch: int) -> Dict[str, Dict[str, Any]]:
-        variants: Dict[str, Dict[str, Any]] = {}
-        baseline_wall: Optional[float] = None
-        for name, features in variant_features.items():
-            best: Optional[ProfileRun] = None
-            for _ in range(max(1, repeat)):
-                measured = run_profile(
-                    preset, scale, features, profile=False,
-                    workload=workload, batch_size=batch,
-                )
-                if best is None or measured.wall_s < best.wall_s:
-                    best = measured
-            assert best is not None
-            entry: Dict[str, Any] = {
-                "features": features,
-                "wall_s": round(best.wall_s, 4),
-                "events_per_s": round(best.events_per_s, 1),
-                **best.outcome(),
-            }
-            if name == "none":
-                baseline_wall = best.wall_s
-                entry["overhead_pct"] = 0.0
-            elif baseline_wall:
-                entry["overhead_pct"] = round(
-                    (best.wall_s - baseline_wall) / baseline_wall * 100.0, 2
-                )
-            else:
-                entry["overhead_pct"] = None
-            variants[name] = entry
-        return variants
-
-    sizes = [int(b) for b in batch_sizes] or [1]
-    if any(b < 1 for b in sizes):
-        raise ConfigError(f"batch sizes must be >= 1: {sizes}")
-    grids = {batch: measure_grid(batch) for batch in sizes}
-    matrix: Dict[str, Any] = {
+    variants: Dict[str, Dict[str, Any]] = {}
+    baseline_wall: Optional[float] = None
+    for name, features in variant_features.items():
+        best: Optional[ProfileRun] = None
+        for _ in range(max(1, repeat)):
+            measured = run_profile(
+                preset, scale, features, profile=False, workload=workload
+            )
+            if best is None or measured.wall_s < best.wall_s:
+                best = measured
+        assert best is not None
+        entry: Dict[str, Any] = {
+            "features": features,
+            "wall_s": round(best.wall_s, 4),
+            "events_per_s": round(best.events_per_s, 1),
+            **best.outcome(),
+        }
+        if name == "none":
+            baseline_wall = best.wall_s
+            entry["overhead_pct"] = 0.0
+        elif baseline_wall:
+            entry["overhead_pct"] = round(
+                (best.wall_s - baseline_wall) / baseline_wall * 100.0, 2
+            )
+        else:
+            entry["overhead_pct"] = None
+        variants[name] = entry
+    return {
         "preset": preset.name,
         "scale": scale,
         "repeat": repeat,
-        "variants": grids[sizes[0]],
+        "variants": variants,
     }
-    if sizes != [1]:
-        matrix["batch_sizes"] = sizes
-        matrix["batch_variants"] = {str(b): grids[b] for b in sizes}
-    return matrix
 
 
 def render_layer_matrix(
@@ -261,27 +233,7 @@ def render_layer_matrix(
             row.append(f"{delta:+.1f}pp" if delta is not None else "-")
         rows.append(row)
     title = f"layer-cost matrix ({matrix['preset']} @ scale {matrix['scale']:g})"
-    out = title + "\n" + render_table(headers, rows)
-    batch_variants = matrix.get("batch_variants")
-    if batch_variants:
-        batch_rows: List[List[Any]] = []
-        for batch, variants in batch_variants.items():
-            for name, entry in variants.items():
-                overhead = entry.get("overhead_pct")
-                batch_rows.append([
-                    name,
-                    batch,
-                    f"{entry['wall_s']:.3f}",
-                    f"{entry['events_per_s']:.0f}",
-                    f"{overhead:+.1f}" if overhead is not None else "-",
-                ])
-        out += ("\n\nmicro-batch axis (overhead % vs the same batch "
-                "size's bare core)\n")
-        out += render_table(
-            ["variant", "batch", "wall s", "events/s", "overhead %"],
-            batch_rows,
-        )
-    return out
+    return title + "\n" + render_table(headers, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -434,18 +386,6 @@ def add_profile_args(parser: argparse.ArgumentParser) -> None:
         help="grid repetitions per variant; fastest wall time kept",
     )
     parser.add_argument(
-        "--batch-size", type=positive_int, default=1, metavar="N",
-        help="admit source tuples in micro-batches of N per scheduler "
-             "event for the profiled run (outcome is byte-identical to "
-             "the default N=1; only wall time moves)",
-    )
-    parser.add_argument(
-        "--batch-sizes", default="1,16,64", metavar="LIST",
-        help="comma-separated micro-batch sizes for the --grid matrix; "
-             "each size re-measures the whole feature grid "
-             "(default %(default)s)",
-    )
-    parser.add_argument(
         "--out", type=Path, default=None, metavar="PATH",
         help="write the profile report (manifest + profile section) as JSON",
     )
@@ -468,27 +408,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
         log.error(str(exc))
         return 2
 
-    batch_size = args.batch_size
-    try:
-        batch_sizes = [
-            int(part) for part in
-            getattr(args, "batch_sizes", "1").split(",") if part.strip()
-        ]
-    except ValueError:
-        log.error("--batch-sizes must be a comma-separated int list, "
-                  "got %r", args.batch_sizes)
-        return 2
-
     log.info("profiling %s (scale %g, features %s)",
              preset.name, args.scale, ",".join(features) or "none")
-    profiled = run_profile(
-        preset, args.scale, features, profile=True, batch_size=batch_size
-    )
+    profiled = run_profile(preset, args.scale, features, profile=True)
     snapshot = profiled.run.profile
     assert snapshot is not None and profiled.profiler is not None
-    batch_note = f" | batch {batch_size}" if batch_size != 1 else ""
     print(f"profile: {preset.name} @ scale {args.scale:g} | features "
-          f"{','.join(features) or 'none'}{batch_note} "
+          f"{','.join(features) or 'none'} "
           f"| wall {profiled.wall_s:.3f}s "
           f"| {profiled.events_per_s:.0f} events/s")
     print()
@@ -498,17 +424,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     matrix: Optional[Dict[str, Any]] = None
     if args.grid:
-        log.info("running the on/off feature grid (repeat %d, "
-                 "batch sizes %s)", args.repeat,
-                 ",".join(str(b) for b in batch_sizes))
-        try:
-            matrix = layer_cost_matrix(
-                preset.name, args.scale, repeat=args.repeat,
-                batch_sizes=batch_sizes,
-            )
-        except ConfigError as exc:
-            log.error(str(exc))
-            return 2
+        log.info("running the on/off feature grid (repeat %d)", args.repeat)
+        matrix = layer_cost_matrix(preset.name, args.scale, repeat=args.repeat)
         print()
         print(render_layer_matrix(matrix))
 

@@ -26,6 +26,9 @@ class SimulationEngine:
     Events are ``(time, seq, callback)`` triples in a binary heap; *seq*
     is a monotonically increasing tie-breaker so events scheduled first
     run first at equal times — this makes traces fully deterministic.
+    Producers keep at most one event each in the heap: a source chains
+    its next arrival, an operator its one completion, and a batch from
+    :meth:`schedule_many` its next event.
 
     Examples
     --------
@@ -42,6 +45,8 @@ class SimulationEngine:
         self.now: float = 0.0
         self._heap: List[Tuple[float, int, Callback]] = []
         self._seq = 0
+        # Events of lazy runs not yet in the heap (see schedule_many).
+        self._deferred = 0
         self._running = False
         self.events_executed = 0
 
@@ -74,12 +79,14 @@ class SimulationEngine:
         """Schedule many ``(time, callback)`` pairs in one batch.
 
         Equivalent to calling :meth:`schedule_at` for each pair in
-        iteration order — tie-breaking sequence numbers are assigned in
-        that order, so the execution order is *identical* — but a large
-        batch rebuilds the heap once (O(n + k)) instead of sifting k
-        pushes through it (O(k log n)).  Bursty producers (a metrics
-        sampler pre-scheduling its whole horizon, a disorder buffer
-        flushing at end-of-stream) use this to avoid heap churn.
+        iteration order: the batch reserves one tie-breaking sequence
+        number per pair, in that order, so every event keeps the
+        ``(time, seq)`` key sequential scheduling would give it and the
+        execution order is *identical*.  The batch is then held as a
+        lazy run (see :class:`_Run`): only its next event sits in the
+        heap, so a long batch (a metrics sampler's whole horizon, a
+        disorder buffer's end-of-stream flush) does not deepen every
+        other push and pop.
 
         Atomic: if any event is in the past, nothing is scheduled.
         Returns the number of events scheduled.
@@ -97,16 +104,10 @@ class SimulationEngine:
         if not added:
             return 0
         self._seq = seq
-        heap = self._heap
-        if len(added) * 8 < len(heap):
-            # Small batch into a big heap: individual pushes are cheaper
-            # than re-heapifying everything.  Pop order is the same.
-            push = heapq.heappush
-            for item in added:
-                push(heap, item)
-        else:
-            heap.extend(added)
-            heapq.heapify(heap)
+        # Keys are unique, so sorting never compares callbacks; a batch
+        # already in time order (every caller's) sorts in one pass.
+        added.sort()
+        _Run(self, added)
         return len(added)
 
     # ------------------------------------------------------------------
@@ -175,11 +176,46 @@ class SimulationEngine:
 
     @property
     def pending_events(self) -> int:
-        """Number of events not yet executed."""
-        return len(self._heap)
+        """Number of events not yet executed, lazy runs' included."""
+        return len(self._heap) + self._deferred
 
     def __repr__(self) -> str:
         return (
             f"SimulationEngine(now={self.now:g}, pending={self.pending_events}, "
             f"executed={self.events_executed})"
         )
+
+
+class _Run:
+    """The rest of one :meth:`SimulationEngine.schedule_many` batch.
+
+    *events* are the batch's ``(time, seq, callback)`` triples sorted by
+    key, each seq reserved when the batch was scheduled.  Only the next
+    one is in the heap, under its own key with :meth:`_fire` as the
+    callback; firing it pushes its successor before running its own
+    callback.  Every later event of the run has a larger key than the
+    one in the heap, so the heap still pops every event at its own key.
+    """
+
+    __slots__ = ("_engine", "_events", "_next")
+
+    def __init__(
+        self, engine: SimulationEngine, events: List[Tuple[float, int, Callback]]
+    ) -> None:
+        self._engine = engine
+        self._events = events
+        self._next = 0
+        engine._deferred += len(events)
+        self._push()
+
+    def _push(self) -> None:
+        time, seq, _callback = self._events[self._next]
+        heapq.heappush(self._engine._heap, (time, seq, self._fire))
+        self._engine._deferred -= 1
+
+    def _fire(self) -> None:
+        callback = self._events[self._next][2]
+        self._next += 1
+        if self._next < len(self._events):
+            self._push()
+        callback()

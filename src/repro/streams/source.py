@@ -44,13 +44,6 @@ class StreamSource:
         When set, deliver through a disorder buffer with this much
         virtual-time slack (see :mod:`repro.resilience.disorder`);
         ``None`` (the default) delivers in schedule order, unchanged.
-    batch_size:
-        How many schedule items to prefetch and enqueue per engine
-        interaction.  ``1`` (the default) chains one pending event at a
-        time; larger vectors amortize the per-item scheduling overhead
-        through :meth:`~repro.sim.engine.SimulationEngine.schedule_many`
-        while firing every item at its own schedule time, so delivery
-        times, order and all counters are identical for every value.
     """
 
     def __init__(
@@ -59,20 +52,18 @@ class StreamSource:
         schedule: Iterable[PyTuple[float, Any]],
         name: str = "source",
         disorder_slack_ms: Optional[float] = None,
-        batch_size: int = 1,
     ) -> None:
-        if batch_size < 1:
-            raise SimulationError(
-                f"source {name}: batch_size must be >= 1, got {batch_size}"
-            )
         self.engine = engine
         self.name = name
-        self.batch_size = batch_size
         self._iter: Iterator[PyTuple[float, Any]] = iter(schedule)
         self._target: Optional[Operator] = None
         self._port = 0
         self._last_time = 0.0
         self._started = False
+        # The item of the pending arrival waits here, so every arrival
+        # schedules the same cached bound method and allocates nothing.
+        self._next_item: Any = None
+        self._arrive = self._send
         self.items_sent = 0
         self.disorder_buffer = (
             DisorderBuffer(disorder_slack_ms)
@@ -102,43 +93,28 @@ class StreamSource:
         self._schedule_next()
 
     def _schedule_next(self) -> None:
-        """Prefetch up to ``batch_size`` items and enqueue them at once.
+        """Schedule the next item's arrival, or end-of-stream after the last.
 
-        Every item still fires at its own schedule time; only the last
-        one chains the next prefetch, so the heap holds at most one
-        batch from this source at any moment.
+        Called when the previous arrival fires, after its delivery, so
+        the arrival's tie-breaking sequence number follows every event
+        that delivery scheduled.
         """
-        iterator = self._iter
-        batch: list = []
-        for _ in range(self.batch_size):
-            try:
-                time, item = next(iterator)
-            except StopIteration:
-                break
-            if time < self._last_time:
-                raise SimulationError(
-                    f"source {self.name}: schedule time {time} decreases "
-                    f"(previous {self._last_time})"
-                )
-            self._last_time = time
-            batch.append((time, item))
-        if not batch:
+        try:
+            time, item = next(self._iter)
+        except StopIteration:
             self.engine.schedule_at(
                 max(self._last_time, self.engine.now), self._send_eos
             )
             return
+        if time < self._last_time:
+            raise SimulationError(
+                f"source {self.name}: schedule time {time} decreases "
+                f"(previous {self._last_time})"
+            )
+        self._last_time = time
+        self._next_item = item
         now = self.engine.now
-        if len(batch) == 1:
-            time, item = batch[0]
-            self.engine.schedule_at(max(time, now), lambda: self._send(item))
-            return
-        events = [
-            (max(time, now), lambda item=item: self._emit(item))
-            for time, item in batch[:-1]
-        ]
-        last_time, last_item = batch[-1]
-        events.append((max(last_time, now), lambda: self._send(last_item)))
-        self.engine.schedule_many(events)
+        self.engine.schedule_at(now if now > time else time, self._arrive)
 
     def _emit(self, item: Any) -> None:
         assert self._target is not None
@@ -148,8 +124,9 @@ class StreamSource:
             for ready in self.disorder_buffer.push(item, self.engine.now):
                 self._deliver(ready)
 
-    def _send(self, item: Any) -> None:
-        self._emit(item)
+    def _send(self) -> None:
+        """The pending arrival: deliver its item, then chain the next."""
+        self._emit(self._next_item)
         self._schedule_next()
 
     def _deliver(self, item: Any) -> None:
@@ -163,9 +140,9 @@ class StreamSource:
         if self.disorder_buffer is not None:
             ready = self.disorder_buffer.flush()
             if ready:
-                # Batch the whole backlog (plus the end-of-stream marker,
-                # after it) through schedule_many: one heap rebuild, and
-                # delivery order is identical to sequential scheduling.
+                # The whole backlog, then the end-of-stream marker, as
+                # one lazy run: delivery order is identical to
+                # sequential scheduling.
                 now = self.engine.now
                 events = [
                     (now, lambda item=item: self._deliver(item)) for item in ready

@@ -37,20 +37,11 @@ def unsharded(workload, config):
     return run.sink.result_multiset(), puncts
 
 
-class TestRescalePlanParse:
-    def test_parses_cli_form(self):
-        plan = RescalePlan.parse("2:4@500")
-        assert (plan.n_before, plan.n_after, plan.at_ts) == (2, 4, 500.0)
-
-    @pytest.mark.parametrize("text", ["2:4", "two:4@5", "2@5", "2:4@x", ""])
-    def test_malformed_specs_raise(self, text):
-        with pytest.raises(RecoveryError, match="rescale"):
-            RescalePlan.parse(text)
-
-    @pytest.mark.parametrize("text", ["0:2@5", "2:0@5", "2:2@-1"])
-    def test_invalid_values_raise(self, text):
+class TestRescalePlan:
+    @pytest.mark.parametrize("counts_at", [(0, 2, 5.0), (2, 0, 5.0), (2, 2, -1.0)])
+    def test_invalid_values_raise(self, counts_at):
         with pytest.raises(RecoveryError):
-            RescalePlan.parse(text)
+            RescalePlan(*counts_at)
 
 
 class TestRescaleEquivalence:

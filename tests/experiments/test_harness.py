@@ -100,8 +100,8 @@ class TestRunOptions:
                 run = run_join_experiment(pjoin_factory(), workload)
             assert active_options() is outer
             # A whole value replaces every field, the outer ones too.
-            with run_options(RunOptions(batch_size=4)):
-                assert active_options() == RunOptions(batch_size=4)
+            with run_options(RunOptions(shards=4)):
+                assert active_options() == RunOptions(shards=4)
             with pytest.raises(RuntimeError):
                 with run_options(shards=3):
                     raise RuntimeError("restore on the way out")
@@ -111,7 +111,7 @@ class TestRunOptions:
         assert all(shard.governor is not None for shard in run.join.shards)
 
     @pytest.mark.parametrize(
-        "fields", [{"shards": 0}, {"batch_size": 0}, {"batch_size": -3}]
+        "fields", [{"shards": 0}, {"shards": -3}]
     )
     def test_counts_below_one_rejected(self, fields):
         with pytest.raises(ConfigError):
@@ -126,6 +126,5 @@ class TestRunOptions:
             shards=2,
             governor=GovernorSpec(budget_tuples=100, policy="skew-aware"),
             skew=SkewSpec(hot_keys=True),
-            batch_size=8,
         )
         assert pickle.loads(pickle.dumps(options)) == options

@@ -66,7 +66,6 @@ def test_parallel_counters_identical(serial_figures):
 RUN_OPTIONS = {
     "shards": RunOptions(shards=2),
     "governor": RunOptions(governor=GovernorSpec(budget_tuples=100)),
-    "batch": RunOptions(batch_size=8),
     "skew": RunOptions(skew=SkewSpec()),
 }
 

@@ -47,7 +47,7 @@ class TestScheduleMany:
         assert order == ["pre", "batch"]  # earlier seq wins the tie
 
     def test_small_batch_into_large_heap(self):
-        # Exercises the push branch (batch much smaller than the heap).
+        # One batch event among many eager ones keeps its time order.
         engine = SimulationEngine()
         order = []
         for i in range(100):
@@ -56,6 +56,32 @@ class TestScheduleMany:
         engine.run()
         assert order[:2] == [0, "x"]
         assert len(order) == 101
+
+    def test_batch_events_keep_the_seq_reserved_at_scheduling(self):
+        # The batch's second event enters the heap only when the first
+        # fires, yet still runs before a same-time event scheduled
+        # after the batch.
+        engine = SimulationEngine()
+        order = []
+        engine.schedule_many([
+            (0.0, _recorder(order, "batch0")), (5.0, _recorder(order, "batch5")),
+        ])
+        engine.schedule_at(5.0, _recorder(order, "later5"))
+        engine.run()
+        assert order == ["batch0", "batch5", "later5"]
+
+    def test_pending_events_counts_events_still_in_a_batch(self):
+        engine = SimulationEngine()
+        engine.schedule_many((float(t), lambda: None) for t in range(5))
+        engine.schedule_at(2.5, lambda: None)
+        assert engine.pending_events == 6
+        engine.step()
+        assert engine.pending_events == 5
+        engine.run(until=2.5)
+        assert engine.pending_events == 2
+        engine.run()
+        assert engine.pending_events == 0
+        assert engine.events_executed == 6
 
     def test_past_event_raises_and_is_atomic(self):
         engine = SimulationEngine()

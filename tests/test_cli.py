@@ -99,10 +99,6 @@ class TestMetrics:
         assert "tuples_purged" in out
         assert "disk.write_ops" in out
 
-    def test_obs_aliases_work(self, capsys):
-        assert main(["obs", "metrics", "--tuples", "100"]) == 0
-        assert "probes" in capsys.readouterr().out
-
 
 class TestParser:
     def test_requires_a_command(self):
@@ -116,13 +112,6 @@ class TestParser:
             main(["--version"])
         assert excinfo.value.code == 0
         assert repro.__version__ in capsys.readouterr().out
-
-    def test_obs_help_smoke(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["obs", "--help"])
-        assert excinfo.value.code == 0
-        out = capsys.readouterr().out
-        assert "trace" in out and "metrics" in out
 
 
 class TestPlan:
@@ -157,7 +146,6 @@ class TestRunFlagsWithJobs:
         assert assert_jobs_match_serial(
             "figure8", "fig_nary_adaptive", "ablation_index_building",
             "--scale", "0.05", "--shards", "2", "--memory-budget", "100",
-            "--batch-size", "8",
         ) == 0
 
 
@@ -169,10 +157,6 @@ class TestCountFlags:
             ["chaos", "gentle", "--jobs", "0"],
             ["figures", "figure8", "--shards", "0"],
             ["demo", "--shards", "0"],
-            ["figures", "figure8", "--batch-size", "0"],
-            ["demo", "--batch-size", "-1"],
-            ["bench", "--batch-size", "0"],
-            ["profile", "fig5", "--batch-size", "0"],
             ["demo", "--tuples", "0"],
             ["trace", "--tuples", "0"],
             ["metrics", "--tuples", "0"],
