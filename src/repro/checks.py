@@ -4,8 +4,9 @@
 configuration and returns ``(summary, failures)``: a JSON summary of
 its deterministic outcomes and the conditions that failed.  Most
 conditions are the paper's correctness claim (§3.4) for one layer:
-every variant of a join emits exactly the reference run's result
-multiset (:func:`run_variants`).  ``repro check`` diffs each summary
+the first variant of a join emits exactly the reference oracle's
+result multiset, and every other variant exactly the first's output
+(:func:`run_variants`).  ``repro check`` diffs each summary
 against ``<goldens>/<name>.json`` (:func:`golden_drift`).  To
 regenerate a golden after an intended change, from the repo root::
 
@@ -18,7 +19,7 @@ import functools
 import json
 import math
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.checkpoint.recovery import CrashSpec, run_sharded_resilient
 from repro.checkpoint.rescale import RescalePlan, run_sharded_rescale
@@ -43,6 +44,10 @@ from repro.sim.costs import CostModel
 from repro.skew import SkewSpec
 from repro.workloads.generator import GeneratedWorkload, generate_workload
 from repro.workloads.nary import generate_nary_workload
+from repro.workloads.reference import (
+    reference_join_multiset,
+    reference_nway_join_multiset,
+)
 
 Summary = Dict[str, Any]
 CheckResult = Tuple[Summary, List[str]]
@@ -64,25 +69,43 @@ def golden_drift(name: str, summary: Summary, goldens: Path) -> List[str]:
 
 def run_variants(
     variants: Dict[str, Callable[[], Any]],
+    reference: Mapping[Any, int],
+    keep: Callable[[Any], Any],
 ) -> Tuple[Dict[str, Any], List[str]]:
-    """Run every variant; fail each whose output differs from the first's.
+    """Run the variants in turn; return ``keep(run)`` of each, and failures.
 
     A variant returns an :class:`ExperimentRun` or a multiprocess or
     rescaled run's merged outcome.  Its output is its result multiset
-    and its output punctuation multiset.
+    and its output punctuation multiset.  The first variant's results
+    must equal *reference*, the oracle's multiset; every other
+    variant's output must equal the first's.  A run is dropped as soon
+    as its output and ``keep(run)`` are taken, so at most one is held.
     """
-    runs = {label: variant() for label, variant in variants.items()}
-    outputs = {}
-    for label, run in runs.items():
+    kept: Dict[str, Any] = {}
+    failures: List[str] = []
+    first: Optional[Tuple[str, Any]] = None
+    for label, variant in variants.items():
+        run = variant()
         merged = run.sink if isinstance(run, ExperimentRun) else run
-        outputs[label] = (merged.result_multiset(), merged.punctuation_multiset())
-    reference = next(iter(outputs))
-    failures = [
-        f"{label}: output differs from the {reference} run's"
-        for label, output in outputs.items()
-        if output != outputs[reference]
-    ]
-    return runs, failures
+        output = (merged.result_multiset(), merged.punctuation_multiset())
+        kept[label] = keep(run)
+        del run, merged
+        if first is None:
+            first = (label, output)
+            if output[0] != reference:
+                failures.append(f"{label}: results differ from the oracle's")
+        elif output != first[1]:
+            failures.append(f"{label}: output differs from the {first[0]} run's")
+    return kept, failures
+
+
+def _oracle(workload: GeneratedWorkload) -> Mapping[Any, int]:
+    """The full equi-join's result multiset of a binary *workload*."""
+    return reference_join_multiset(
+        workload.schedule_a, workload.schedule_b,
+        workload.schemas[0], workload.schemas[1],
+        workload.join_fields[0], workload.join_fields[1],
+    )
 
 
 def _join(
@@ -97,17 +120,20 @@ def _join(
     return run
 
 
-def _rows(runs: Dict[str, Any]) -> Summary:
-    """Results, output punctuations and finish time of every run."""
+def _row(run: Any) -> Tuple[int, int, float]:
+    """Results, output punctuations and finish time of one run."""
+    if isinstance(run, ExperimentRun):
+        return run.results, run.punctuations_out, run.duration_ms
+    return run.result_count, len(run.punctuations), run.virtual_now
+
+
+def _rows(rows: Dict[str, Tuple[int, int, float]]) -> Summary:
+    """Every run's :func:`_row`, one summary key per field."""
     summary: Summary = {}
-    for label, run in runs.items():
-        if isinstance(run, ExperimentRun):
-            row = (run.results, run.punctuations_out, run.duration_ms)
-        else:
-            row = (run.result_count, len(run.punctuations), run.virtual_now)
-        summary[f"{label}.results"] = row[0]
-        summary[f"{label}.puncts"] = row[1]
-        summary[f"{label}.finish_ms"] = round(row[2])
+    for label, (results, puncts, finish_ms) in rows.items():
+        summary[f"{label}.results"] = results
+        summary[f"{label}.puncts"] = puncts
+        summary[f"{label}.finish_ms"] = round(finish_ms)
     return summary
 
 
@@ -121,33 +147,52 @@ def memory_smoke() -> CheckResult:
         n_tuples_per_stream=2000, punct_spacing_a=40.0, punct_spacing_b=40.0,
         seed=5,
     )
+    oracle = _oracle(workload)
     summary: Summary = {}
     failures: List[str] = []
     for algo, factory in (
         ("PJoin-1", pjoin_factory(PJoinConfig(purge_threshold=1))),
         ("XJoin", xjoin_factory()),
     ):
-        runs, failed = run_variants({
-            f"{algo} b={tag}": _join(factory, workload, RunOptions(governor=spec))
-            for tag, spec in (
-                ("none", None),
-                ("inf", GovernorSpec(math.inf)),
-                ("100", GovernorSpec(100.0)),
-            )
-        })
+        rows, failed = run_variants(
+            {
+                f"{algo} b={tag}": _join(
+                    factory, workload, RunOptions(governor=spec)
+                )
+                for tag, spec in (
+                    ("none", None),
+                    ("inf", GovernorSpec(math.inf)),
+                    ("100", GovernorSpec(100.0)),
+                )
+            },
+            oracle,
+            lambda run: (
+                run.results,
+                run.join.counters().get("governor.spills", 0),
+                run.duration_ms,
+            ),
+        )
         failures += failed
-        for label, run in runs.items():
-            summary[f"{label}.results"] = run.results
-            summary[f"{label}.spills"] = run.join.counters().get(
-                "governor.spills", 0
-            )
-            summary[f"{label}.finish_ms"] = round(run.duration_ms)
-        ungoverned, unlimited, tight = runs.values()
-        if unlimited.duration_ms != ungoverned.duration_ms:
+        for label, (results, spills, finish_ms) in rows.items():
+            summary[f"{label}.results"] = results
+            summary[f"{label}.spills"] = spills
+            summary[f"{label}.finish_ms"] = round(finish_ms)
+        ungoverned, unlimited, tight = rows.values()
+        if unlimited[2] != ungoverned[2]:
             failures.append(f"{algo}: the unlimited budget moved the finish")
-        if not tight.join.counters().get("governor.spills"):
+        if not tight[1]:
             failures.append(f"{algo}: the tight budget never spilled")
     return summary, failures
+
+
+def _skew_outcome(run: ExperimentRun) -> Tuple[int, Summary, Summary]:
+    """Results, join counters and hot-key router counters of one run."""
+    router = getattr(run.join, "router", None)
+    return (
+        run.results,
+        run.join.counters(),
+        router.counters() if router is not None else {},
+    )
 
 
 def skew_smoke() -> CheckResult:
@@ -157,36 +202,37 @@ def skew_smoke() -> CheckResult:
         active_values=48, zipf_exponent=1.4, seed=7,
     )
     factory = pjoin_factory(PJoinConfig(n_partitions=8, purge_threshold=1))
-    runs, failures = run_variants({
-        label: _join(factory, workload, options)
-        for label, options in (
-            ("static", RunOptions()),
-            ("adaptive", RunOptions(skew=SkewSpec())),
-            ("sharded static", RunOptions(shards=4)),
-            ("sharded hot-key", RunOptions(
-                shards=4, skew=SkewSpec(hot_keys=True, adaptive=False)
-            )),
-        )
-    })
-    adaptive = runs["adaptive"].join.counters()
-    hot_key = runs["sharded hot-key"].join
-    router = hot_key.router.counters()
+    kept, failures = run_variants(
+        {
+            label: _join(factory, workload, options)
+            for label, options in (
+                ("static", RunOptions()),
+                ("adaptive", RunOptions(skew=SkewSpec())),
+                ("sharded static", RunOptions(shards=4)),
+                ("sharded hot-key", RunOptions(
+                    shards=4, skew=SkewSpec(hot_keys=True, adaptive=False)
+                )),
+            )
+        },
+        _oracle(workload),
+        _skew_outcome,
+    )
+    adaptive = kept["adaptive"][1]
+    hot_key, router = kept["sharded hot-key"][1:]
     if not adaptive.get("skew.splits"):
         failures.append("adaptive: no bucket ever split")
     if not router.get("hot_activations"):
         failures.append("sharded hot-key: no key ever activated")
     if not router.get("replica_copies"):
         failures.append("sharded hot-key: no build history was replicated")
-    summary: Summary = {"results": runs["static"].results}
+    summary: Summary = {"results": kept["static"][0]}
     for key in ("splits", "coalesces", "entries_moved", "leaf_partitions"):
         summary[f"adaptive.{key}"] = adaptive[f"skew.{key}"]
     for key in ("hot_activations", "hot_deactivations", "replica_copies",
                 "hot_spread_tuples", "hot_broadcast_tuples",
                 "hot_broadcast_punctuations"):
         summary[f"hotkey.{key}"] = router[key]
-    summary["hotkey.replica_inserts"] = hot_key.counters().get(
-        "replica_inserts", 0
-    )
+    summary["hotkey.replica_inserts"] = hot_key.get("replica_inserts", 0)
     return summary, failures
 
 
@@ -220,8 +266,8 @@ def shard_smoke() -> CheckResult:
         variants[f"K={k} mp"] = functools.partial(
             run_sharded_multiprocess, workload, k, config=_SHARD_CONFIG
         )
-    runs, failures = run_variants(variants)
-    return _rows(runs), failures
+    rows, failures = run_variants(variants, _oracle(workload), _row)
+    return _rows(rows), failures
 
 
 def recovery_smoke() -> CheckResult:
@@ -242,8 +288,18 @@ def recovery_smoke() -> CheckResult:
         RescalePlan(2, 3, workload.end_time / 2), config=_SHARD_CONFIG,
         checkpoint_every=4,
     )
-    runs, failures = run_variants(variants)
-    return _rows(runs), failures
+    rows, failures = run_variants(variants, _oracle(workload), _row)
+    return _rows(rows), failures
+
+
+def _plan_outcome(run: ExperimentRun) -> Tuple[int, float, Summary]:
+    """Results, finish time and re-optimizer counters of one run."""
+    reoptimizer = run.join.reoptimizer
+    return (
+        run.results,
+        run.duration_ms,
+        reoptimizer.counters() if reoptimizer is not None else {},
+    )
 
 
 def plan_smoke() -> CheckResult:
@@ -253,33 +309,38 @@ def plan_smoke() -> CheckResult:
     orders and finish before the static stream order.
     """
     workload = generate_nary_workload(get_preset("nary_drift", scale=0.3))
-    runs, failures = run_variants({
-        label: functools.partial(
-            run_nary_experiment, workload,
-            config=PJoinConfig(purge_threshold=8), planner=planner,
-            # Probe-heavy charging, as in fig_nary_adaptive, so order
-            # costs show against the fixed per-tuple overhead.
-            cost_model=CostModel().with_overrides(probe_per_candidate=0.04),
-            keep_items=True,
-        )
-        for label, planner in (
-            ("adaptive", PlannerSpec(mode="adaptive", reopt_interval=2)),
-            ("static", PlannerSpec(mode="static")),
-        )
-    })
-    adaptive, static = runs["adaptive"], runs["static"]
-    reopt = adaptive.join.reoptimizer.counters()
+    kept, failures = run_variants(
+        {
+            label: functools.partial(
+                run_nary_experiment, workload,
+                config=PJoinConfig(purge_threshold=8), planner=planner,
+                # Probe-heavy charging, as in fig_nary_adaptive, so order
+                # costs show against the fixed per-tuple overhead.
+                cost_model=CostModel().with_overrides(probe_per_candidate=0.04),
+                keep_items=True,
+            )
+            for label, planner in (
+                ("adaptive", PlannerSpec(mode="adaptive", reopt_interval=2)),
+                ("static", PlannerSpec(mode="static")),
+            )
+        },
+        reference_nway_join_multiset(
+            workload.schedules, workload.schemas, workload.join_fields
+        ),
+        _plan_outcome,
+    )
+    (results, adaptive_ms, reopt), (_, static_ms, _) = kept.values()
     if reopt["switches"] < 1:
         failures.append("adaptive: the planner never switched orders")
-    if adaptive.duration_ms >= static.duration_ms:
+    if adaptive_ms >= static_ms:
         failures.append("adaptive: did not finish before static")
     summary: Summary = {
-        "results": adaptive.results,
+        "results": results,
         "boundaries": int(reopt["boundaries"]),
         "reopts": int(reopt["reopt.count"]),
         "switches": int(reopt["switches"]),
-        "adaptive.finish_ms": round(adaptive.duration_ms),
-        "static.finish_ms": round(static.duration_ms),
+        "adaptive.finish_ms": round(adaptive_ms),
+        "static.finish_ms": round(static_ms),
     }
     return summary, failures
 

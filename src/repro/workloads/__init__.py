@@ -41,6 +41,7 @@ from repro.workloads.faults import (
 )
 from repro.workloads.reference import (
     reference_join_multiset,
+    reference_nway_join_multiset,
     reference_window_join_multiset,
 )
 
@@ -66,5 +67,6 @@ __all__ = [
     "drop_random_punctuations",
     "delay_punctuations",
     "reference_join_multiset",
+    "reference_nway_join_multiset",
     "reference_window_join_multiset",
 ]

@@ -8,7 +8,15 @@ scheduling) and by examples that want ground truth to compare against.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Counter as CounterType, Iterable, List, Tuple as PyTuple
+from itertools import product
+from typing import (
+    Any,
+    Counter as CounterType,
+    Iterable,
+    List,
+    Sequence,
+    Tuple as PyTuple,
+)
 
 from repro.tuples.schema import Schema
 from repro.tuples.tuple import Tuple
@@ -40,6 +48,34 @@ def reference_join_multiset(
     for tup_a in _tuples_of(schedule_a):
         for tup_b in by_key.get(tup_a.values[index_a], []):
             result[tup_a.values + tup_b.values] += 1
+    return result
+
+
+def reference_nway_join_multiset(
+    schedules: Sequence[Iterable[PyTuple[float, Any]]],
+    schemas: Sequence[Schema],
+    join_fields: Sequence[str],
+) -> CounterType:
+    """The n-way equi-join's result multiset, columns in stream order.
+
+    Stream *i* joins on ``join_fields[i]``; a result concatenates one
+    tuple of every stream, all with the same join value.  A hash join:
+    each stream's tuples are grouped by join value, and each value of
+    the first stream contributes the product of its groups.
+    """
+    groups = []
+    for schedule, schema, field in zip(schedules, schemas, join_fields):
+        index = schema.index_of(field)
+        by_key: dict = {}
+        for tup in _tuples_of(schedule):
+            by_key.setdefault(tup.values[index], []).append(tup.values)
+        groups.append(by_key)
+    result: CounterType = Counter()
+    for key, first in groups[0].items():
+        lists = [first] + [other.get(key, []) for other in groups[1:]]
+        if all(lists):
+            for combo in product(*lists):
+                result[sum(combo, ())] += 1
     return result
 
 

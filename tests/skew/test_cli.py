@@ -16,10 +16,18 @@ def skew_smoke():
     runs = {}
     run_variants = checks.run_variants
 
-    def recording(variants):
-        outcome = run_variants(variants)
-        runs.update(outcome[0])
-        return outcome
+    def recorded(label, variant):
+        def run():
+            runs[label] = variant()
+            return runs[label]
+
+        return run
+
+    def recording(variants, *args):
+        return run_variants(
+            {label: recorded(label, variant) for label, variant in variants.items()},
+            *args,
+        )
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(checks, "run_variants", recording)

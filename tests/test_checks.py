@@ -52,23 +52,59 @@ def test_failed_condition_exits_1(monkeypatch, capsys):
     assert "chaos_gentle: it broke" in capsys.readouterr().err
 
 
+class StubRun:
+    def __init__(self, results):
+        self.results = results
+
+    def result_multiset(self):
+        return {(value,): 1 for value in self.results}
+
+    def punctuation_multiset(self):
+        return {}
+
+
 def test_diverged_variant_fails():
-    class Run:
-        def __init__(self, results):
-            self.results = results
-
-        def result_multiset(self):
-            return {(value,): 1 for value in self.results}
-
-        def punctuation_multiset(self):
-            return {}
-
-    _runs, failures = checks.run_variants({
-        "reference": lambda: Run([1, 2]),
-        "same": lambda: Run([2, 1]),
-        "lost one": lambda: Run([1]),
-    })
+    kept, failures = checks.run_variants(
+        {
+            "reference": lambda: StubRun([1, 2]),
+            "same": lambda: StubRun([2, 1]),
+            "lost one": lambda: StubRun([1]),
+        },
+        {(1,): 1, (2,): 1},
+        lambda run: len(run.results),
+    )
     assert failures == ["lost one: output differs from the reference run's"]
+    assert kept == {"reference": 2, "same": 2, "lost one": 1}
+
+
+def test_reference_run_must_match_the_oracle():
+    # Every variant agrees with the first, but the first lost a result.
+    _kept, failures = checks.run_variants(
+        {"reference": lambda: StubRun([1]), "same": lambda: StubRun([1])},
+        {(1,): 1, (2,): 1},
+        lambda run: None,
+    )
+    assert failures == ["reference: results differ from the oracle's"]
+
+
+@pytest.mark.parametrize("name", ["memory_smoke", "plan_smoke"])
+def test_check_fails_on_a_wrong_oracle(name, monkeypatch):
+    # A stub oracle that is missing one result: the check must fail
+    # although every variant agrees with the first.
+    oracles = {
+        "memory_smoke": "reference_join_multiset",
+        "plan_smoke": "reference_nway_join_multiset",
+    }
+    oracle = getattr(checks, oracles[name])
+
+    def missing_one(*args):
+        multiset = oracle(*args)
+        multiset[next(iter(multiset))] -= 1
+        return multiset
+
+    monkeypatch.setattr(checks, oracles[name], missing_one)
+    _summary, failures = CHECKS[name]()
+    assert failures and all("differ from the oracle's" in f for f in failures)
 
 
 def test_memory_unlimited_budget_must_keep_the_finish_time(monkeypatch):
