@@ -177,10 +177,12 @@ def memory_smoke() -> CheckResult:
             summary[f"{label}.results"] = results
             summary[f"{label}.spills"] = spills
             summary[f"{label}.finish_ms"] = round(finish_ms)
-        ungoverned, unlimited, tight = rows.values()
-        if unlimited[2] != ungoverned[2]:
+        (_, _, ungoverned_ms), (_, _, unlimited_ms), (_, tight_spills, _) = (
+            rows.values()
+        )
+        if unlimited_ms != ungoverned_ms:
             failures.append(f"{algo}: the unlimited budget moved the finish")
-        if not tight[1]:
+        if not tight_spills:
             failures.append(f"{algo}: the tight budget never spilled")
     return summary, failures
 

@@ -58,9 +58,9 @@ class MetricsCollector:
         while time <= horizon_ms:
             events.append((time, sample))
             time += interval
-        # One heapify instead of thousands of pushes; the engine assigns
-        # tie-breaker sequence numbers in list order, so execution order
-        # is identical to the schedule_at() loop this replaces.
+        # One batch: the engine reserves the tie-breaker sequence
+        # numbers in list order, so execution order is identical to a
+        # schedule_at() loop, and keeps only the next sample in its heap.
         self.engine.schedule_many(events)
 
     def _sample(self) -> None:

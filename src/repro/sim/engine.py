@@ -195,27 +195,28 @@ class _Run:
     callback; firing it pushes its successor before running its own
     callback.  Every later event of the run has a larger key than the
     one in the heap, so the heap still pops every event at its own key.
+    An event leaves the run when it enters the heap, so a run holds
+    only what the heap has not reached yet.
     """
 
-    __slots__ = ("_engine", "_events", "_next")
+    __slots__ = ("_engine", "_events", "_callback")
 
     def __init__(
         self, engine: SimulationEngine, events: List[Tuple[float, int, Callback]]
     ) -> None:
+        events.reverse()  # the next event last, where pop() takes it
         self._engine = engine
         self._events = events
-        self._next = 0
         engine._deferred += len(events)
         self._push()
 
     def _push(self) -> None:
-        time, seq, _callback = self._events[self._next]
+        time, seq, self._callback = self._events.pop()
         heapq.heappush(self._engine._heap, (time, seq, self._fire))
         self._engine._deferred -= 1
 
     def _fire(self) -> None:
-        callback = self._events[self._next][2]
-        self._next += 1
-        if self._next < len(self._events):
+        callback = self._callback
+        if self._events:
             self._push()
         callback()
