@@ -206,14 +206,17 @@ class NaryPJoin(Operator):
 
         The optional layers present at build are bound in and absent
         ones left out, and the tag names them: the contract check and
-        the memory governor.  The check is PJoin's: one ``covers`` probe
-        under ``strict``, the validator for every tuple under
+        the memory governor.  The check is PJoin's: one ``covers_value``
+        probe under ``strict``, the validator for every tuple under
         ``quarantine`` and ``repair``.  Hooks are reached through their
         owners at call time, so profiler shadows installed after build
-        hold.  The handler holds the plan and per-side counter lists;
-        :meth:`set_plan` and :meth:`restore_state` mutate them in place.
+        hold.  The handler holds the plan, per-side counter lists and
+        each side's store and table; :meth:`set_plan` and
+        :meth:`restore_state` mutate them in place.
         """
         sides = self.sides
+        stores = [side.store for side in sides]
+        tables = [side.table for side in sides]
         join_indices = self.join_indices
         n_inputs = self.n_inputs
         cost_model = self.cost_model
@@ -239,7 +242,7 @@ class NaryPJoin(Operator):
             cost = tuple_overhead
             if (
                 check_contract
-                and (not strict or mine.covers(value))
+                and (not strict or stores[side].covers_value(value))
                 and not validator.admit(tup, value, side)
             ):
                 return cost  # quarantined: must not probe or enter the state
@@ -252,7 +255,7 @@ class NaryPJoin(Operator):
             for other in probe_orders[side]:
                 if governor is not None:
                     cost += governor.fault_in(other, value, value_hash)
-                occupancy, matches = sides[other].probe(value, value_hash)
+                occupancy, matches = tables[other].probe(value, value_hash)
                 side_probe_count[other] += 1
                 side_probe_occupancy[other] += occupancy
                 cost += cost_model.probe_cost(occupancy, len(matches))
@@ -269,7 +272,7 @@ class NaryPJoin(Operator):
             if on_the_fly_drop:
                 cost += drop_check
                 if all(
-                    sides[other].covers(value)
+                    stores[other].covers_value(value)
                     for other in range(n_inputs)
                     if other != side
                 ):

@@ -336,14 +336,20 @@ class PJoin(BinaryHashJoin):
         The optional layers present at build are bound in and absent
         ones left out: the contract check, the skew sketch and the
         memory governor.  Under ``strict``, the default, the check is
-        one ``covers`` probe of the tuple's own side, with the validator
-        consulted only on a violation; ``quarantine`` and ``repair``
-        hand every tuple to the validator, so their cost shows in the
-        resilience layer.  Hooks are reached through their owners at
-        call time, so profiler shadows installed after build hold.  The
-        flags name the layers bound in (see :func:`fastpath.mark`).
+        one ``covers_value`` probe of the tuple's own store, with the
+        validator consulted only on a violation; ``quarantine`` and
+        ``repair`` hand every tuple to the validator, so their cost
+        shows in the resilience layer.  The memory-threshold monitor is
+        consulted only while a threshold is set, read at call time so
+        :meth:`reconfigure` can set one mid-stream.  Each side's store
+        and table are called directly: restore refills them in place.
+        Hooks are reached through their owners at call time, so
+        profiler shadows installed after build hold.  The flags name
+        the layers bound in (see :func:`fastpath.mark`).
         """
         side0, side1 = self.sides
+        store0, store1 = side0.store, side1.store
+        table0, table1 = side0.table, side1.table
         ji0, ji1 = self.join_indices
         cost_model = self.cost_model
         tuple_overhead = cost_model.tuple_overhead
@@ -362,14 +368,18 @@ class PJoin(BinaryHashJoin):
         def on_tuple(tup: Tuple, side: int) -> float:
             if side == 0:
                 value = tup.values[ji0]
-                mine, other = side0, side1
+                mine, my_store, other_store, other_table = (
+                    side0, store0, store1, table1
+                )
             else:
                 value = tup.values[ji1]
-                mine, other = side1, side0
+                mine, my_store, other_store, other_table = (
+                    side1, store1, store0, table0
+                )
             cost = tuple_overhead
             if (
                 check_contract
-                and (not strict or mine.covers(value))
+                and (not strict or my_store.covers_value(value))
                 and not validator.admit(tup, value, side)
             ):
                 return cost  # quarantined: the tuple must not probe or insert
@@ -383,7 +393,7 @@ class PJoin(BinaryHashJoin):
                 # before probing, so the probe sees the full warm state.
                 cost += governor.fault_in(1 - side, value, value_hash)
             # Memory join: probe the opposite state's memory portion.
-            occupancy, matches = other.probe(value, value_hash)
+            occupancy, matches = other_table.probe(value, value_hash)
             self.probes += 1
             self.probe_matches += len(matches)
             self.emit_joins(tup, matches, side)
@@ -398,8 +408,8 @@ class PJoin(BinaryHashJoin):
             dropped = False
             if on_the_fly_drop:
                 cost += drop_check
-                if other.covers(value):
-                    if other.table.partition_for(value, value_hash).disk_count == 0:
+                if other_store.covers_value(value):
+                    if other_table.partition_for(value, value_hash).disk_count == 0:
                         dropped = True
                         self.tuples_dropped_on_fly += 1
                     else:
@@ -410,9 +420,12 @@ class PJoin(BinaryHashJoin):
                 cost += insert_cost
                 if governor is not None:
                     cost += governor.after_insert(side, value, value_hash)
-                event = monitor.on_insert(side0.memory_size + side1.memory_size)
-                if event is not None:
-                    cost += self.dispatch(event)
+                if monitor.memory_threshold is not None:
+                    event = monitor.on_insert(
+                        table0.memory_count + table1.memory_count
+                    )
+                    if event is not None:
+                        cost += self.dispatch(event)
             elif governor is not None:
                 governor.release_pins()
             return cost

@@ -100,10 +100,6 @@ class JoinStateSide:
             return None
         return self.store.add(punct)
 
-    def covers(self, join_value: Any) -> bool:
-        """``setMatch``: do this stream's punctuations cover the value?"""
-        return self.store.covers_value(join_value)
-
     def retract_covering(self, join_value: Any) -> int:
         """Withdraw every stored punctuation covering *join_value*.
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -388,11 +389,10 @@ def _trim(series: TimeSeries, eos_time: float) -> TimeSeries:
     """Drop samples after the join delivered end-of-stream."""
     if eos_time < 0 or not series:
         return series
+    end = bisect_right(series.times, eos_time)
     trimmed = TimeSeries(name=series.name)
-    for time, value in series.points():
-        if time > eos_time:
-            break
-        trimmed.append(time, value)
+    trimmed.times = series.times[:end]
+    trimmed.values = series.values[:end]
     return trimmed
 
 

@@ -238,18 +238,35 @@ class MemoryGovernor:
         return cost
 
     def _enforce(self) -> float:
-        """Demote victims until the warm footprint fits the budget."""
+        """Demote victims until the warm footprint fits the budget.
+
+        Within one pass the warm total only falls, by each demotion's
+        moved count, and the tracer cannot change, so both are read
+        once.  A touch order found current stays current for the rest
+        of the pass: a demotion only takes its bucket out of it.
+        """
+        warm = self.usage()
+        budget = self.budget_tuples
+        if warm <= budget:
+            return 0.0
+        engine = self.engine
+        tracer = get_tracer(engine) if engine is not None else None
+        now = engine.now if engine is not None else 0.0
+        order = self._touch_order
+        current = False
         cost = 0.0
-        while self.usage() > self.budget_tuples:
-            choice = self._victim()
+        while warm > budget:
+            if order is not None and (current or self._order_is_current(order)):
+                current = True
+                choice = self._least_recent_unpinned(order)
+            else:
+                choice = self._victim()
             if choice is None:
                 # Everything warm is pinned by the in-flight probe; the
                 # budget is temporarily exceeded rather than violated.
                 self.evictions_denied += 1
                 break
             registration, victim = choice
-            tracer = get_tracer(self.engine) if self.engine is not None else None
-            now = self.engine.now if self.engine is not None else 0.0
             if tracer is not None:
                 tracer.begin(
                     now, self.name, "governor_spill",
@@ -257,8 +274,9 @@ class MemoryGovernor:
                     policy=self.policy_name,
                 )
             moved = registration.table.demote_partition(victim)
-            if self._touch_order is not None:
-                self._touch_order.pop((registration.key, victim.index), None)
+            warm -= moved
+            if order is not None:
+                order.pop((registration.key, victim.index), None)
             write_cost = self.disk.write(moved) if self.disk is not None else 0.0
             self.spills += 1
             self.tuples_spilled += moved
@@ -269,10 +287,7 @@ class MemoryGovernor:
         return cost
 
     def _victim(self) -> Optional[Candidate]:
-        """The next bucket to demote; None if every warm one is pinned."""
-        order = self._touch_order
-        if order is not None and self._order_is_current(order):
-            return self._least_recent_unpinned(order)
+        """The policy's pick among every warm, unpinned bucket, if any."""
         candidates = [
             (registration, partition)
             for registration in self._sides

@@ -76,10 +76,12 @@ class RangeIntervalIndex:
     stays small; queries are O(log n).
     """
 
-    __slots__ = ("_pids", "_low_keys", "_ranges", "consistent")
+    __slots__ = ("pids", "_low_keys", "_ranges", "consistent")
 
     def __init__(self) -> None:
-        self._pids: Dict[Range, List[int]] = {}
+        #: Live range -> its pids.  Empty when no range is live, which
+        #: callers test as a plain dict, without a method call.
+        self.pids: Dict[Range, List[int]] = {}
         self._low_keys: List[float] = []
         self._ranges: List[Range] = []
         #: False once an overlapping insert was seen; queries then
@@ -87,10 +89,7 @@ class RangeIntervalIndex:
         self.consistent = True
 
     def __len__(self) -> int:
-        return sum(len(ids) for ids in self._pids.values())
-
-    def __bool__(self) -> bool:
-        return bool(self._pids)
+        return sum(len(ids) for ids in self.pids.values())
 
     # ------------------------------------------------------------------
     # Mutation
@@ -100,11 +99,11 @@ class RangeIntervalIndex:
         """Index *pattern* under *pid*; ``False`` if not indexable."""
         if not _indexable(pattern):
             return False
-        ids = self._pids.get(pattern)
+        ids = self.pids.get(pattern)
         if ids is not None:
             ids.append(pid)
             return True
-        self._pids[pattern] = [pid]
+        self.pids[pattern] = [pid]
         key = _low_key(pattern)
         pos = bisect_right(self._low_keys, key)
         if self.consistent:
@@ -120,12 +119,12 @@ class RangeIntervalIndex:
 
     def remove(self, pattern: Range, pid: int) -> bool:
         """Drop *pid*; ``False`` if the pattern was never indexed."""
-        ids = self._pids.get(pattern)
+        ids = self.pids.get(pattern)
         if ids is None:
             return False
         ids.remove(pid)
         if not ids:
-            del self._pids[pattern]
+            del self.pids[pattern]
             # Find the exact slot among equal low keys.
             key = _low_key(pattern)
             pos = bisect_right(self._low_keys, key) - 1
@@ -185,15 +184,15 @@ class RangeIntervalIndex:
                 continue
             pattern = ranges[candidate]
             if pattern.matches(value):
-                return self._pids[pattern]
+                return self.pids[pattern]
             if _low_key(pattern) != value:
                 break  # further-left ranges end even earlier
         return []
 
     def has_pattern(self, pattern: Range) -> bool:
         """Is this exact range pattern live in the index?"""
-        return pattern in self._pids
+        return pattern in self.pids
 
     def items(self) -> List[PyTuple[Range, List[int]]]:
         """All live ``(range, pids)`` pairs, for linear fallback scans."""
-        return [(pattern, self._pids[pattern]) for pattern in self._ranges]
+        return [(pattern, self.pids[pattern]) for pattern in self._ranges]

@@ -235,7 +235,7 @@ class PunctuationStore:
             return True
         if self._enum_values and value in self._enum_values:
             return True
-        if self._ranges and self._range_pids(value):
+        if self._ranges.pids and self._range_pids(value):
             return True
         for pid in self._general:
             punct = self._entries[pid]
@@ -259,7 +259,7 @@ class PunctuationStore:
             ids = self._enum_values.get(value)
             if ids:
                 out.extend(ids)
-        if self._ranges:
+        if self._ranges.pids:
             out.extend(self._range_pids(value))
         for pid in self._general:
             punct = self._entries[pid]

@@ -62,13 +62,13 @@ class StateSideContract:
     the resilience layer stays importable below :mod:`repro.core`).
     """
 
-    __slots__ = ("side",)
+    __slots__ = ("side", "covers")
 
     def __init__(self, side: Any) -> None:
         self.side = side
-
-    def covers(self, join_value: Any) -> bool:
-        return self.side.covers(join_value)
+        # The store's own setMatch: restore refills the store in place
+        # and nothing rebinds it.
+        self.covers = side.store.covers_value
 
     def retract(self, join_value: Any) -> int:
         return self.side.retract_covering(join_value)

@@ -7,18 +7,13 @@ re-emits each routed punctuation exactly once, after every covering
 shard has propagated it.  Two backends share the routing and alignment
 code: the deterministic in-simulator backend
 (:class:`~repro.shard.operator.ShardedJoin`) and the wall-clock
-multiprocess backend (:mod:`repro.shard.backend`).
+multiprocess backend (:mod:`repro.shard.backend`).  The multiprocess
+backend imports :mod:`multiprocessing`, so it loads on first use of one
+of its names: an in-simulator sharded run never pays for it.
 """
 
-from repro.shard.backend import (
-    ShardedRunOutcome,
-    ShardPlan,
-    ShardWorkerPool,
-    fork_available,
-    run_shard_simulation,
-    run_sharded_multiprocess,
-    warm_pool,
-)
+from typing import Any
+
 from repro.shard.merger import AlignedMerger, AlignmentLedger
 from repro.shard.operator import (
     ShardedJoin,
@@ -50,3 +45,23 @@ __all__ = [
     "sharded_xjoin",
     "warm_pool",
 ]
+
+_BACKEND_NAMES = frozenset(
+    {
+        "ShardedRunOutcome",
+        "ShardPlan",
+        "ShardWorkerPool",
+        "fork_available",
+        "run_shard_simulation",
+        "run_sharded_multiprocess",
+        "warm_pool",
+    }
+)
+
+
+def __getattr__(name: str) -> Any:
+    if name in _BACKEND_NAMES:
+        from repro.shard import backend
+
+        return getattr(backend, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

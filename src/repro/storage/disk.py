@@ -65,13 +65,6 @@ class SimulatedDisk:
         self.total_write_time = 0.0
         self.total_read_time = 0.0
 
-    def _fault_penalty(self, operation: str) -> float:
-        """Extra virtual cost from riding out a transient fault, if any."""
-        if self.fault_injector is None:
-            return 0.0
-        penalty, _retries = self.fault_injector.charge(operation)
-        return penalty
-
     def write(self, tuples: int) -> float:
         """Record a flush of *tuples* tuples; return its virtual cost."""
         if tuples < 0:
@@ -79,7 +72,9 @@ class SimulatedDisk:
         if tuples == 0:
             return 0.0
         cost = self.cost_model.disk_write_cost(tuples)
-        cost += self._fault_penalty("write")
+        if self.fault_injector is not None:
+            # Extra virtual cost from riding out a transient fault.
+            cost += self.fault_injector.charge("write")[0]
         self.write_ops += 1
         self.tuples_written += tuples
         self.total_write_time += cost
@@ -92,7 +87,8 @@ class SimulatedDisk:
         if tuples == 0:
             return 0.0
         cost = self.cost_model.disk_read_cost(tuples)
-        cost += self._fault_penalty("read")
+        if self.fault_injector is not None:
+            cost += self.fault_injector.charge("read")[0]
         self.read_ops += 1
         self.tuples_read += tuples
         self.total_read_time += cost

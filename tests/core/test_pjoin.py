@@ -330,6 +330,23 @@ class TestReconfigure:
         with pytest.raises(OperatorError, match="cannot reconfigure"):
             join.reconfigure(n_partitions=64)
 
+    def test_memory_threshold_set_mid_stream_relocates(self, engine, joined):
+        """A join built without a memory threshold reads the one that
+        ``reconfigure`` sets from the next insert on."""
+        join, _sink = joined(PJoinConfig(purge_threshold=100))
+        for key in range(4):
+            join.push(a_tup(key), 0)
+        engine.run()
+        assert join.monitor.state_full_events_fired == 0
+        join.reconfigure(memory_threshold=6)
+        for key in range(4):
+            join.push(b_tup(key + 10), 1)
+        engine.run()
+        assert join.monitor.state_full_events_fired > 0
+        assert join.events_dispatched["StateFullEvent"] > 0
+        assert join.spills > 0
+        assert join.memory_state_size() < 6
+
 
 class TestEndToEndCorrectness:
     @pytest.mark.parametrize(

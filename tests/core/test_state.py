@@ -43,13 +43,13 @@ class TestPunctuations:
     def test_add_exploitable(self, side):
         pid = side.add_punctuation(Punctuation.on_field(SCHEMA, "key", 1))
         assert pid == 0
-        assert side.covers(1)
+        assert side.store.covers_value(1)
 
     def test_unexploitable_counted_not_stored(self, side):
         punct = Punctuation.from_mapping(SCHEMA, {"key": 1, "v": 2})
         assert side.add_punctuation(punct) is None
         assert side.unexploitable_punctuations == 1
-        assert not side.covers(1)
+        assert not side.store.covers_value(1)
 
     def test_duplicate_join_pattern_dropped(self, side):
         side.add_punctuation(Punctuation.on_field(SCHEMA, "key", 1))

@@ -73,6 +73,10 @@ operations = st.lists(
 class ScanGovernor(MemoryGovernor):
     """The reference: every pass scores every warm, unpinned bucket."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._touch_order = None  # no touch order: every victim is scanned
+
     def _victim(self):
         candidates = [
             (registration, partition)
