@@ -78,13 +78,16 @@ def key_value(key_kind, k, rng):
     return rng.choice(variants)
 
 
-def make_input(seed, n_streams, key_kind, kinds, wildcard_end, n_tuples):
+def make_input(seed, n_streams, key_kind, kinds, wildcard_end, n_tuples,
+               violable=False):
     """*n_streams* schedules that keep every punctuation's promise.
 
     A stream closes its oldest open key now and then and never draws a
     closed key again.  Closed keys are punctuated as constants, or
     gathered into an enumeration or a range; a stream may end with a
-    wildcard.
+    wildcard.  With *violable*, stream 0 holds a constant punctuation
+    for an injected violation to break: when it drew none, its oldest
+    open key is closed by one at the end.
     """
     rng = random.Random(seed)
     dtype = KEY_TYPES[key_kind]
@@ -130,6 +133,11 @@ def make_input(seed, n_streams, key_kind, kinds, wildcard_end, n_tuples):
                 for k in group:
                     punctuate(side, Constant(key_value(key_kind, k, rng)))
                 group.clear()
+    if violable and not closed[0] and not any(
+        isinstance(item, Punctuation) and isinstance(item.patterns[0], Constant)
+        for _t, item in schedules[0]
+    ):
+        closed[0].append(lo[0])
     for side in range(n_streams):
         for k in closed[side]:
             punctuate(side, Constant(key_value(key_kind, k, rng)))
@@ -398,11 +406,12 @@ def cases(draw):
 
 def make_case_input(case):
     n_streams = 3 if case["join"] == "nary" else 2
+    repair = case.get("policy") == "repair"
     schemas, schedules = make_input(
         case["seed"], n_streams, case["key_kind"], case["kinds"],
-        case["wildcard_end"], case["n_tuples"],
+        case["wildcard_end"], case["n_tuples"], violable=repair,
     )
-    if case.get("policy") == "repair":
+    if repair:
         violated = inject_punctuation_violation(
             schedules[0], schemas[0], "key", seed=case["seed"]
         )
@@ -478,6 +487,24 @@ def test_candidate_paths_engage(overrides):
     check = check_case({**BASE, **overrides})
     assert check.by_value_purges > 0
     assert check.named_builds > 0
+
+
+# Drawn cases that once failed, kept as fixed inputs.
+DRAWN = [
+    # Stream 0 drew only enumerations: the violation needed a constant.
+    pytest.param({
+        "join": "pjoin", "seed": 34, "key_kind": "int",
+        "kinds": ["constant", "enum"], "wildcard_end": False, "drop": True,
+        "purge_threshold": 1, "index": "eager", "budget": None,
+        "eviction": "largest-partition-first", "rewind": False, "n_tuples": 30,
+        "layer": "repair", "propagation": "off", "policy": "repair",
+    }, id="repair-no-constant-drawn"),
+]
+
+
+@pytest.mark.parametrize("case", DRAWN)
+def test_drawn_cases(case):
+    check_case(case)
 
 
 @pytest.mark.parametrize("key_kind", ["float", "untyped"])
