@@ -151,7 +151,7 @@ class SkewAwarePolicy(EvictionPolicy):
         best_key = None
         for registration, partition in candidates:
             heat = sum(
-                sketch.estimate(entry.join_value)
+                sketch.estimate(entry.join_value, entry.join_hash)
                 for entry in partition.iter_memory()
             )
             # Coldest first; break heat ties toward the biggest write

@@ -1,11 +1,12 @@
 """SkewAwarePolicy: spill cold buckets first, keep hot state warm."""
 
+import repro.skew.sketch
 from repro.memory.governor import MemoryGovernor
 from repro.memory.policies import POLICIES, SkewAwarePolicy
 from repro.sim.costs import CostModel
 from repro.skew.sketch import FrequencySketch
 from repro.storage.disk import SimulatedDisk
-from repro.storage.hash_table import PartitionedHashTable
+from repro.storage.hash_table import PartitionedHashTable, stable_hash
 from repro.tuples.schema import Schema
 from repro.tuples.tuple import Tuple
 
@@ -63,3 +64,26 @@ class TestSkewAwarePolicy:
         governor.sketch = FrequencySketch()
         _, victim = governor.policy.select(candidates(governor, table), governor)
         assert victim is table.partition_for(1)  # larger of the equally-cold
+
+    def test_spill_reuses_each_entrys_cached_hash(self, monkeypatch):
+        """Scoring a candidate hashes no value whose entry carries a hash."""
+        governor, table = make_governor(n_partitions=8)
+        sketch = FrequencySketch(top_k=2)
+        for key in range(12):  # keys past the top 2 are not monitored
+            sketch.observe(key, count=key + 1)
+        governor.sketch = sketch
+        for seq, key in enumerate(range(12)):
+            table.insert(
+                Tuple(SCHEMA, (key, seq), ts=0.0, validate=False), key, 0.0,
+                stable_hash(key),
+            )
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return stable_hash(value)
+
+        monkeypatch.setattr(repro.skew.sketch, "stable_hash", counted)
+        governor.after_insert(0, 11, stable_hash(11))
+        assert governor.spills > 0
+        assert calls == []
