@@ -10,16 +10,21 @@ tuple displaced by less than the slack is re-sequenced back in front of
 the punctuation that outran it.
 
 The buffer is deliberately simple and deterministic — a heap keyed by
-``(item.ts, arrival_seq)`` plus a watermark:
+``(item.ts, rank, arrival_seq)`` plus a watermark:
 
 * when an item arrives at virtual time *t*, the watermark advances to
   ``t - slack`` and every held item with ``ts <= watermark`` is
   released, oldest first;
+* at equal timestamps tuples (rank 0) go before punctuations (rank 1).
+  A punctuation is stamped with its preceding tuple's timestamp, so a
+  tuple displaced past its own key's punctuation can tie with it, and
+  must come back in front of it;
 * at end-of-stream the buffer flushes in timestamp order;
-* an item whose timestamp is already behind the released frontier
-  cannot be re-sequenced (its slot has passed) — it is released
-  immediately and counted in :attr:`late_releases`, leaving the
-  downstream fault policy to deal with it.
+* an item whose ``(ts, rank)`` slot is already behind the released
+  frontier cannot be re-sequenced — it is released immediately and
+  counted in :attr:`late_releases`, leaving the downstream fault policy
+  to deal with it.  A tuple released after a punctuation with its own
+  timestamp is such an item.
 
 Everything is charged to the virtual clock by the source that owns the
 buffer; the buffer itself only re-orders.
@@ -31,6 +36,7 @@ import heapq
 from typing import Any, Dict, List, Tuple as PyTuple
 
 from repro.errors import ResilienceError
+from repro.punctuations.punctuation import Punctuation
 
 _NEG_INF = float("-inf")
 
@@ -52,10 +58,11 @@ class DisorderBuffer:
                 f"disorder slack must be non-negative, got {slack_ms}"
             )
         self.slack_ms = slack_ms
-        self._heap: List[PyTuple[float, int, Any]] = []
+        self._heap: List[PyTuple[float, int, int, Any]] = []
         self._seq = 0
         self._max_item_ts = _NEG_INF
-        self._released_frontier = _NEG_INF
+        # (ts, rank) of the latest item released in order.
+        self._released_frontier: PyTuple[float, int] = (_NEG_INF, 0)
         # -- counters ---------------------------------------------------
         self.items_buffered = 0
         self.reordered = 0
@@ -70,7 +77,8 @@ class DisorderBuffer:
             # arrived after a newer one); the heap will re-sequence it.
             self.reordered += 1
         self._max_item_ts = max(self._max_item_ts, item_ts)
-        heapq.heappush(self._heap, (item_ts, self._seq, item))
+        rank = 1 if isinstance(item, Punctuation) else 0
+        heapq.heappush(self._heap, (item_ts, rank, self._seq, item))
         self._seq += 1
         self.items_buffered += 1
         self.max_held = max(self.max_held, len(self._heap))
@@ -84,14 +92,15 @@ class DisorderBuffer:
     def _release_until(self, watermark: float) -> List[Any]:
         ready: List[Any] = []
         while self._heap and self._heap[0][0] <= watermark:
-            item_ts, _seq, item = heapq.heappop(self._heap)
-            if item_ts < self._released_frontier:
+            item_ts, rank, _seq, item = heapq.heappop(self._heap)
+            slot = (item_ts, rank)
+            if slot < self._released_frontier:
                 # Displaced beyond the slack: its in-order slot already
                 # passed.  Deliver anyway; the fault policy downstream
                 # decides what to do with the (possibly late) item.
                 self.late_releases += 1
             else:
-                self._released_frontier = item_ts
+                self._released_frontier = slot
             ready.append(item)
         return ready
 

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import ResilienceError, RetryExhaustedError, TransientIOError
+from repro.punctuations.patterns import Constant
+from repro.punctuations.punctuation import Punctuation
 from repro.resilience.disorder import DisorderBuffer
 from repro.resilience.retry import (
     DiskFaultProfile,
@@ -17,6 +19,10 @@ SCHEMA = Schema.of("key")
 
 def item(ts):
     return Tuple(SCHEMA, (int(ts),), ts=ts)
+
+
+def punct(ts):
+    return Punctuation(SCHEMA, [Constant(int(ts))], ts=ts)
 
 
 class TestDisorderBuffer:
@@ -52,6 +58,26 @@ class TestDisorderBuffer:
         assert buf.late_releases == 1
         # Nothing is ever dropped, even when hopelessly late.
         assert sorted(it.ts for it in out) == [0.0, 1.0, 10.0, 20.0]
+
+    def test_tuple_goes_before_a_punctuation_with_its_timestamp(self):
+        """A punctuation carries its preceding tuple's timestamp, so a
+        tuple displaced past its key's punctuation ties with it and must
+        come back in front of it."""
+        buf = DisorderBuffer(slack_ms=10.0)
+        closing, straggler = punct(5.0), item(5.0)
+        out = buf.push(closing, arrival_ts=5.0)
+        out += buf.push(straggler, arrival_ts=6.0)
+        out += buf.flush()
+        assert out == [straggler, closing]
+        assert buf.late_releases == 0
+
+    def test_tuple_after_a_released_tied_punctuation_is_late(self):
+        buf = DisorderBuffer(slack_ms=0.0)
+        closing, straggler = punct(5.0), item(5.0)
+        out = buf.push(closing, arrival_ts=5.0)
+        out += buf.push(straggler, arrival_ts=6.0)
+        assert out == [closing, straggler]
+        assert buf.late_releases == 1
 
     def test_counters_snapshot(self):
         buf = DisorderBuffer(slack_ms=4.0)

@@ -98,9 +98,7 @@ def pjoin(plan, workload):
 
 
 def quarantining(plan, workload):
-    # A displaced tuple shares its timestamp with the punctuation that
-    # follows it, so the disorder buffer can release it late; and a
-    # stall heartbeat can promise what the stalled stream later breaks.
+    # A stall heartbeat can promise what the stalled stream later breaks.
     return pjoin_factory(EAGER.with_overrides(fault_policy="quarantine"))(
         plan, workload
     )
@@ -125,7 +123,7 @@ CASES = {
     "pjoin/eager": (pjoin, tied_input, None, None),
     "xjoin/memory_threshold": (xjoin, tied_input, None, None),
     "pjoin/sharded_k2": (sharded, tied_input, None, None),
-    "pjoin/disorder_slack": (quarantining, disordered_input, 15.0, None),
+    "pjoin/disorder_slack": (pjoin, disordered_input, 15.0, None),
     "pjoin/stall_watchdog": (quarantining, stalled_input, None, 40.0),
 }
 
