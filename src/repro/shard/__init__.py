@@ -46,21 +46,10 @@ __all__ = [
     "warm_pool",
 ]
 
-_BACKEND_NAMES = frozenset(
-    {
-        "ShardedRunOutcome",
-        "ShardPlan",
-        "ShardWorkerPool",
-        "fork_available",
-        "run_shard_simulation",
-        "run_sharded_multiprocess",
-        "warm_pool",
-    }
-)
-
 
 def __getattr__(name: str) -> Any:
-    if name in _BACKEND_NAMES:
+    # The names of __all__ not bound above are the backend's.
+    if name in __all__:
         from repro.shard import backend
 
         return getattr(backend, name)
