@@ -62,7 +62,7 @@ def test_in_simulator_sharded_run_leaves_the_backend_unloaded():
         [sys.executable, "-c", snippet],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        env=dict(os.environ, PYTHONPATH=package_root),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
