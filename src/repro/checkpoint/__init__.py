@@ -12,11 +12,14 @@ package exploits that:
 * :mod:`repro.checkpoint.store` — persistence of checkpoint payloads
   through :class:`~repro.storage.disk.SimulatedDisk`, so checkpoint
   I/O is charged and fault-injectable like any other disk traffic;
-* :mod:`repro.checkpoint.recovery` — cover-aligned segmented shard
-  execution, seeded crash injection, and the supervised multiprocess
-  backend that respawns dead workers from their latest checkpoint;
+* :mod:`repro.checkpoint.recovery` — the per-shard runner: cover-aligned
+  segmented execution, seeded crash injection and in-process recovery
+  from the latest checkpoint;
 * :mod:`repro.checkpoint.rescale` — live ``K1 -> K2`` rescaling with
   checkpointed-state migration at the next cover boundary.
+
+:func:`repro.shard.backend.run_sharded` drives all of it: its worker
+pool respawns dead workers from their latest checkpoint.
 """
 
 from repro.checkpoint.snapshot import (
@@ -33,11 +36,9 @@ from repro.checkpoint.store import Checkpoint, CheckpointStore
 from repro.checkpoint.recovery import (
     CrashSpec,
     cover_cut_times,
-    cover_cut_times_n,
     run_checkpointed_shard,
-    run_sharded_resilient,
 )
-from repro.checkpoint.rescale import RescalePlan, run_sharded_rescale
+from repro.checkpoint.rescale import RescalePlan
 
 __all__ = [
     "SNAPSHOT_VERSION",
@@ -46,14 +47,11 @@ __all__ = [
     "CrashSpec",
     "RescalePlan",
     "cover_cut_times",
-    "cover_cut_times_n",
     "restore_disorder_buffer_into",
     "restore_side",
     "restore_side_into",
     "restore_store_into",
     "run_checkpointed_shard",
-    "run_sharded_rescale",
-    "run_sharded_resilient",
     "snapshot_disorder_buffer",
     "snapshot_side",
     "snapshot_store",

@@ -1,15 +1,17 @@
-"""Cover-aligned segmented execution and crash recovery.
+"""The per-shard runner: cover-aligned segments and crash recovery.
 
-The runner slices a shard's routed schedules at punctuation-cover
-boundaries (every ``checkpoint_every``-th join-exploitable punctuation
-time) and runs each slice as its own mini simulation: a fresh engine
-and operator, the operator restored from the previous segment's
-snapshot.  Schedule times are absolute, and
+:func:`run_checkpointed_shard` runs one shard's routed schedules.  With
+a checkpoint interval it slices them at punctuation-cover boundaries
+(every ``checkpoint_every``-th join-exploitable punctuation time) and
+runs each slice as its own mini simulation: a fresh engine and
+operator, the operator restored from the previous segment's snapshot.
+Schedule times are absolute, and
 :class:`~repro.streams.source.StreamSource` schedules each item at
 ``max(item_time, now)``, so the virtual timeline is continuous across
 segments — probe histories, residency intervals and the last full
 disk-join time all carry absolute times through the snapshot, which is
-what keeps the timestamp dedupe rules exact across a resume.
+what keeps the timestamp dedupe rules exact across a resume.  Without
+one the slice runs as a single segment.
 
 Each segment ends with the mini-run's end-of-stream quiesce (full disk
 join, purge buffers cleared, pending propagation released), so the cut
@@ -19,52 +21,43 @@ finishing deferred work earlier than the unsegmented run only shifts
 emission times — every pair is still produced exactly once, so the
 segmented/recovered run reproduces the unsharded result multiset.
 
-Crash recovery comes in two flavours sharing this runner:
-
-* **in-process** (:func:`run_shard_with_recovery`) — the seeded crash
-  raises, the supervisor restores the latest checkpoint and replays
-  the suffix in the same process; this is what the
-  crash-at-any-event-index property test drives;
-* **multiprocess** (:func:`run_sharded_resilient`) — each shard runs
-  in a forked worker streaming checkpoints to the parent; a seeded
-  ``os._exit`` mid-run closes the pipe, the supervisor detects the
-  EOF, respawns the worker with the latest checkpoint and the suffix
-  retained in the router's bounded
-  :class:`~repro.shard.router.InFlightLog`.
+A seeded crash (:class:`CrashSpec`) is recovered the same way in a
+forked worker and in-process: the shard restarts from the latest
+checkpoint its run reported and replays the schedule suffix past it.
+The worker pool of :mod:`repro.shard.backend` respawns a dead worker;
+:func:`run_shard_with_recovery` does it in the same process, and the
+crash-at-any-event-index property test drives it.
 """
 
 from __future__ import annotations
 
-import os
-import traceback
+import pickle
 from bisect import bisect_right
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple as PyTuple
 
-from repro.checkpoint.store import Checkpoint, CheckpointStore
+from repro.checkpoint.store import CheckpointStore
 from repro.core.config import PJoinConfig
 from repro.core.pjoin import PJoin
-from repro.errors import RecoveryError, TransientIOError
+from repro.errors import RecoveryError
 from repro.memory.budget import GovernorSpec
 from repro.obs.manifest import operator_counters
 from repro.operators.sink import Sink
 from repro.punctuations.punctuation import Punctuation
 from repro.punctuations.store import is_join_exploitable
 from repro.query.plan import QueryPlan
-from repro.resilience.retry import DiskFaultProfile
-from repro.shard.backend import (
-    Schedule,
-    ShardedRunOutcome,
-    ShardPlan,
-    fork_available,
-)
-from repro.shard.router import InFlightLog
 from repro.sim.costs import CostModel
 from repro.storage.disk import SimulatedDisk
-from repro.workloads.generator import GeneratedWorkload
+from repro.workloads.generator import GeneratedWorkload, Schedule
 
-DEFAULT_CHECKPOINT_EVERY = 8
-DEFAULT_MAX_RESPAWNS = 2
-_CRASH_EXIT_CODE = 23
+# Every sharded run reports these per shard, as ``recovery.<name>``.
+RECOVERY_COUNTERS = (
+    "checkpoints_taken",
+    "crashes_detected",
+    "workers_respawned",
+    "events_replayed",
+)
+
+OnCheckpoint = Callable[[PyTuple[int, int], Dict[str, Any]], None]
 
 
 class CrashSpec:
@@ -114,32 +107,20 @@ class _CrashTrigger:
 
 
 def cover_cut_times(
-    schedule_a: Schedule,
-    schedule_b: Schedule,
-    join_fields: PyTuple[str, str],
-    every: int = DEFAULT_CHECKPOINT_EVERY,
+    schedules: Sequence[Schedule],
+    join_fields: Sequence[str],
+    every: int,
 ) -> List[float]:
     """Checkpoint cut times: every Nth join-exploitable cover boundary.
 
-    Times are merged over both sides, ascending and deduplicated; the
-    cut lands *after* all items scheduled at that time (a cover's own
-    purge has run by the time the segment quiesces).
+    Times are merged over all *schedules*, ascending and deduplicated;
+    the cut lands *after* all items scheduled at that time (a cover's
+    own purge has run by the time the segment quiesces).  These are the
+    same punctuation-aligned boundaries the adaptive planner
+    re-optimizes at (:mod:`repro.planner.reopt`).
     """
-    return cover_cut_times_n((schedule_a, schedule_b), join_fields, every)
-
-
-def cover_cut_times_n(
-    schedules: Sequence[Schedule],
-    join_fields: Sequence[str],
-    every: int = DEFAULT_CHECKPOINT_EVERY,
-) -> List[float]:
-    """:func:`cover_cut_times` over *n* schedules.
-
-    The same punctuation-aligned boundaries the adaptive planner
-    re-optimizes at (:mod:`repro.planner.reopt`): every Nth
-    join-exploitable punctuation over all streams, merged ascending and
-    deduplicated by time.
-    """
+    if every < 1:
+        raise RecoveryError(f"checkpoint_every must be >= 1, got {every}")
     times: List[float] = []
     for side, schedule in enumerate(schedules):
         field = join_fields[side]
@@ -151,9 +132,28 @@ def cover_cut_times_n(
     for time in times:
         if not unique or time > unique[-1]:
             unique.append(time)
-    if every < 1:
-        raise RecoveryError(f"checkpoint_every must be >= 1, got {every}")
     return unique[every - 1 :: every]
+
+
+def build_shard_join(
+    plan: QueryPlan,
+    workload: GeneratedWorkload,
+    shard_index: int,
+    config: Optional[PJoinConfig],
+    governor: Optional[GovernorSpec] = None,
+) -> PJoin:
+    """Shard *shard_index*'s PJoin, on *plan*'s engine."""
+    return PJoin(
+        plan.engine,
+        plan.cost_model,
+        workload.schemas[0],
+        workload.schemas[1],
+        workload.join_fields[0],
+        workload.join_fields[1],
+        config=config,
+        name=f"pjoin.shard{shard_index}",
+        governor=governor,
+    )
 
 
 def _empty_outputs(keep_items: bool) -> Dict[str, Any]:
@@ -176,40 +176,44 @@ def run_checkpointed_shard(
     config: Optional[PJoinConfig] = None,
     keep_items: bool = True,
     governor: Optional[GovernorSpec] = None,
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
+    checkpoint_every: Optional[int] = None,
     initial_state: Optional[Dict[str, Any]] = None,
     crash_after: Optional[int] = None,
     crash_action: Optional[Callable[[], None]] = None,
-    on_checkpoint: Optional[Callable[[int, float, PyTuple[int, int], Dict[str, Any]], None]] = None,
-    checkpoint_store: Optional[CheckpointStore] = None,
-    checkpoint_fault_profile: Optional[DiskFaultProfile] = None,
+    on_checkpoint: Optional[OnCheckpoint] = None,
     final_snapshot: bool = False,
-    name: str = "pjoin",
 ) -> Dict[str, Any]:
-    """Run one shard's slice in cover-aligned segments with checkpoints.
+    """Run one shard's slice to completion; return its plain-dict outcome.
 
-    Returns the same plain-dict outcome shape as
-    :func:`repro.shard.backend.run_shard_simulation`, with the
-    checkpoint store's counters merged in under ``checkpoint.*`` (and,
-    with ``final_snapshot=True``, the quiesced operator snapshot under
-    ``"final_state"`` — the rescale migration input).
+    With *keep_items* the outcome holds the shard's results as
+    ``(values, ts)`` pairs and its output punctuations as ``(join
+    pattern, ts)`` pairs.  *governor* is this shard's own (already
+    split) budget share.
+
+    With *checkpoint_every* the slice runs in cover-aligned segments;
+    each cut is saved to a :class:`CheckpointStore`, whose counters
+    merge into the outcome under ``checkpoint.*``, and reported to
+    *on_checkpoint* as ``(positions, state)``.  Without it the slice
+    runs as one segment and no store exists.  With
+    ``final_snapshot=True`` the quiesced operator snapshot is returned
+    under ``"final_state"`` (the rescale migration input).
 
     *initial_state* is a checkpoint payload (``{"operator": ...,
-    "outputs": ...}``) to resume from; *crash_after* arms a seeded
-    crash before the Nth schedule-item delivery, firing *crash_action*
-    (default: raise :class:`SimulatedCrash`).
+    "outputs": ...}``; missing outputs start empty) to resume from;
+    *crash_after* arms a seeded crash before the Nth schedule-item
+    delivery, firing *crash_action* (default: raise
+    :class:`SimulatedCrash`).
     """
-    if checkpoint_store is None:
-        checkpoint_store = CheckpointStore(
-            SimulatedDisk(CostModel(), fault_profile=checkpoint_fault_profile)
+    store: Optional[CheckpointStore] = None
+    cuts: List[float] = []
+    if checkpoint_every is not None:
+        store = CheckpointStore(SimulatedDisk(CostModel()))
+        cuts = cover_cut_times(
+            (schedule_a, schedule_b), workload.join_fields, checkpoint_every
         )
     times_a = [t for t, _item in schedule_a]
     times_b = [t for t, _item in schedule_b]
     len_a, len_b = len(schedule_a), len(schedule_b)
-
-    cuts = cover_cut_times(
-        schedule_a, schedule_b, tuple(workload.join_fields), checkpoint_every
-    )
     segments: List[PyTuple[Optional[float], PyTuple[int, int]]] = []
     prev = (0, 0)
     for cut_ts in cuts:
@@ -231,17 +235,13 @@ def run_checkpointed_shard(
                 )
         trigger = _CrashTrigger(crash_after, action)
 
+    acc = _empty_outputs(keep_items)
+    op_state: Optional[Dict[str, Any]] = None
     if initial_state is not None:
-        op_state: Optional[Dict[str, Any]] = initial_state["operator"]
-        acc = {
-            key: (list(value) if isinstance(value, list) else value)
-            for key, value in initial_state["outputs"].items()
-        }
-    else:
-        op_state = None
-        acc = _empty_outputs(keep_items)
+        op_state = initial_state["operator"]
+        for key, value in initial_state["outputs"].items():
+            acc[key] = list(value) if isinstance(value, list) else value
 
-    checkpoints_failed = 0
     seq = 0
     start = (0, 0)
     join: Optional[PJoin] = None
@@ -257,21 +257,11 @@ def run_checkpointed_shard(
     # monotone across segments.
     resume_now = float(acc["virtual_now"])
     for cut_ts, end in segments:
-        if end == start:
-            continue  # empty segment: nothing to deliver, cut not needed
+        if end == start and initial_state is not None:
+            continue  # an empty resumed suffix: nothing to deliver
         plan = QueryPlan()
         plan.engine.now = resume_now
-        join = PJoin(
-            plan.engine,
-            plan.cost_model,
-            workload.schemas[0],
-            workload.schemas[1],
-            workload.join_fields[0],
-            workload.join_fields[1],
-            config=config,
-            name=f"{name}.shard{shard_index}",
-            governor=governor,
-        )
+        join = build_shard_join(plan, workload, shard_index, config, governor)
         if op_state is not None:
             join.restore_state(op_state)
         sink = Sink(plan.engine, plan.cost_model, keep_items=keep_items)
@@ -300,61 +290,29 @@ def run_checkpointed_shard(
         acc["virtual_now"] = max(acc["virtual_now"], resume_now)
         acc["eos_time"] = sink.eos_time
         start = end
-        op_state = join.snapshot_state()
-        if cut_ts is not None:
+        if cut_ts is not None and store is not None:
+            op_state = join.snapshot_state()
             state = {"operator": op_state, "outputs": dict(acc)}
-            try:
-                _ckpt, _cost = checkpoint_store.save(
-                    shard_index, seq, cut_ts, end, state
-                )
-            except TransientIOError:
-                # A checkpoint that cannot be persisted is skipped; the
-                # run keeps going from the previous one.
-                checkpoints_failed += 1
-            else:
-                if on_checkpoint is not None:
-                    on_checkpoint(seq, cut_ts, end, state)
+            store.save(shard_index, seq, cut_ts, end, state)
+            if on_checkpoint is not None:
+                on_checkpoint(end, state)
             seq += 1
 
     if join is None:
-        # Every segment was empty — a shard that received no items, or
-        # a resume whose unacknowledged suffix is empty.  Nothing runs,
+        # A resume whose unacknowledged suffix is empty: nothing runs,
         # but the outcome still needs an operator counter snapshot (and
-        # a final state for rescale), so build a quiet operator and, on
-        # resume, restore the carried state into it.
-        plan = QueryPlan()
-        join = PJoin(
-            plan.engine,
-            plan.cost_model,
-            workload.schemas[0],
-            workload.schemas[1],
-            workload.join_fields[0],
-            workload.join_fields[1],
-            config=config,
-            name=f"{name}.shard{shard_index}",
-            governor=governor,
-        )
+        # a final state for rescale), so restore the carried state into
+        # a quiet operator.
+        join = build_shard_join(QueryPlan(), workload, shard_index, config, governor)
         if op_state is not None:
             join.restore_state(op_state)
-        op_state = join.snapshot_state()
     counters = operator_counters(join)
-    for key, value in checkpoint_store.counters().items():
-        counters[f"checkpoint.{key}"] = value
-    if checkpoints_failed:
-        counters["checkpoint.checkpoints_failed"] = checkpoints_failed
-    outcome = {
-        "shard": shard_index,
-        "results": acc["results"] if keep_items else None,
-        "result_count": acc["result_count"],
-        "punctuations": acc["punctuations"] if keep_items else [],
-        "punctuation_count": acc["punctuation_count"],
-        "counters": counters,
-        "events": acc["events"],
-        "virtual_now": acc["virtual_now"],
-        "eos_time": acc["eos_time"],
-    }
+    if store is not None:
+        for key, value in store.counters().items():
+            counters[f"checkpoint.{key}"] = value
+    outcome = {"shard": shard_index, "counters": counters, **acc}
     if final_snapshot:
-        outcome["final_state"] = op_state
+        outcome["final_state"] = join.snapshot_state()
     return outcome
 
 
@@ -366,277 +324,49 @@ def run_shard_with_recovery(
     config: Optional[PJoinConfig] = None,
     keep_items: bool = True,
     governor: Optional[GovernorSpec] = None,
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
+    checkpoint_every: Optional[int] = None,
+    initial_state: Optional[Dict[str, Any]] = None,
     crash_after: Optional[int] = None,
-    checkpoint_fault_profile: Optional[DiskFaultProfile] = None,
-    name: str = "pjoin",
+    final_snapshot: bool = False,
 ) -> Dict[str, Any]:
-    """In-process crash recovery: crash, restore, replay the suffix.
+    """:func:`run_checkpointed_shard` in-process, recovering a seeded crash.
 
-    The seeded crash raises mid-run; the latest checkpoint (or a cold
-    start when the crash precedes the first cut) is restored and the
-    unacknowledged schedule suffix replayed.  Recovery bookkeeping is
-    merged into the outcome's counters under ``recovery.*``.
+    The seeded crash raises mid-run.  Like a respawned worker, the
+    shard restarts from the latest checkpoint its run reported (from
+    *initial_state* when the crash precedes the first cut) and replays
+    the schedule suffix past it.  Recovery bookkeeping is merged into
+    the outcome's counters under ``recovery.*``.
     """
-    store = CheckpointStore(
-        SimulatedDisk(CostModel(), fault_profile=checkpoint_fault_profile)
-    )
-    recovery = {
-        "crashes_detected": 0,
-        "workers_respawned": 0,
-        "events_replayed": 0,
-    }
-    try:
-        outcome = run_checkpointed_shard(
-            shard_index, schedule_a, schedule_b, workload,
-            config=config, keep_items=keep_items, governor=governor,
-            checkpoint_every=checkpoint_every, crash_after=crash_after,
-            checkpoint_store=store, name=name,
-        )
-    except SimulatedCrash:
-        recovery["crashes_detected"] = 1
-        recovery["workers_respawned"] = 1
-        checkpoint, _cost = store.load(shard_index)
-        if checkpoint is not None:
-            positions = checkpoint.positions
-            initial_state: Optional[Dict[str, Any]] = checkpoint.state
-        else:
-            positions = (0, 0)
-            initial_state = None
-        suffix_a = schedule_a[positions[0] :]
-        suffix_b = schedule_b[positions[1] :]
-        recovery["events_replayed"] = len(suffix_a) + len(suffix_b)
-        outcome = run_checkpointed_shard(
+    recovery = dict.fromkeys(RECOVERY_COUNTERS, 0)
+    latest: PyTuple[PyTuple[int, int], Optional[bytes]] = ((0, 0), None)
+
+    def on_checkpoint(positions: PyTuple[int, int], state: Dict[str, Any]) -> None:
+        # Kept pickled, as a respawned worker receives it through a pipe.
+        nonlocal latest
+        latest = (positions, pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
+        recovery["checkpoints_taken"] += 1
+
+    def run(
+        suffix_a: Schedule, suffix_b: Schedule,
+        state: Optional[Dict[str, Any]], crash: Optional[int],
+    ) -> Dict[str, Any]:
+        return run_checkpointed_shard(
             shard_index, suffix_a, suffix_b, workload,
             config=config, keep_items=keep_items, governor=governor,
-            checkpoint_every=checkpoint_every, initial_state=initial_state,
-            checkpoint_store=store, name=name,
+            checkpoint_every=checkpoint_every, initial_state=state,
+            crash_after=crash, on_checkpoint=on_checkpoint,
+            final_snapshot=final_snapshot,
         )
+
+    try:
+        outcome = run(schedule_a, schedule_b, initial_state, crash_after)
+    except SimulatedCrash:
+        (done_a, done_b), saved = latest
+        state = initial_state if saved is None else pickle.loads(saved)
+        suffix_a, suffix_b = schedule_a[done_a:], schedule_b[done_b:]
+        recovery["crashes_detected"] = recovery["workers_respawned"] = 1
+        recovery["events_replayed"] = len(suffix_a) + len(suffix_b)
+        outcome = run(suffix_a, suffix_b, state, None)
     for key, value in recovery.items():
         outcome["counters"][f"recovery.{key}"] = value
     return outcome
-
-
-# ---------------------------------------------------------------------------
-# Supervised multiprocess backend
-# ---------------------------------------------------------------------------
-
-
-def _resilient_worker_main(
-    conn: Any,
-    shard_index: int,
-    schedule_a: Schedule,
-    schedule_b: Schedule,
-    workload: GeneratedWorkload,
-    config: Optional[PJoinConfig],
-    keep_items: bool,
-    governor: Optional[GovernorSpec],
-    checkpoint_every: int,
-    initial_state: Optional[Dict[str, Any]],
-    crash_after: Optional[int],
-) -> None:
-    """One supervised shard worker: stream checkpoints, send the outcome.
-
-    A seeded crash calls ``os._exit`` mid-simulation — the pipe closes
-    without a farewell, exactly like a real worker death.
-    """
-    try:
-        def on_checkpoint(
-            seq: int, cut_ts: float, positions: PyTuple[int, int],
-            state: Dict[str, Any],
-        ) -> None:
-            conn.send(("ckpt", seq, cut_ts, positions, state))
-
-        crash_action = None
-        if crash_after is not None:
-            def crash_action() -> None:
-                os._exit(_CRASH_EXIT_CODE)
-
-        outcome = run_checkpointed_shard(
-            shard_index, schedule_a, schedule_b, workload,
-            config=config, keep_items=keep_items, governor=governor,
-            checkpoint_every=checkpoint_every, initial_state=initial_state,
-            crash_after=crash_after, crash_action=crash_action,
-            on_checkpoint=on_checkpoint,
-        )
-        conn.send(("done", outcome))
-    except Exception:
-        conn.send(("error", traceback.format_exc()))
-    finally:
-        conn.close()
-
-
-def run_sharded_resilient(
-    workload: GeneratedWorkload,
-    n_shards: int,
-    config: Optional[PJoinConfig] = None,
-    keep_items: bool = True,
-    governor: Optional[GovernorSpec] = None,
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-    crash: Optional[CrashSpec] = None,
-    max_respawns: int = DEFAULT_MAX_RESPAWNS,
-) -> ShardedRunOutcome:
-    """The supervised multiprocess backend with crash recovery.
-
-    Routes the workload like :func:`run_sharded_multiprocess`, but each
-    worker checkpoints at cover boundaries and the parent supervises:
-    a worker whose pipe hits EOF is declared dead, respawned with its
-    latest checkpoint, and fed the schedule suffix retained in its
-    :class:`~repro.shard.router.InFlightLog`.  A worker that raises is
-    not respawned (the same input would raise again): its traceback is
-    raised as a :class:`RecoveryError`.  Where ``fork`` is unavailable
-    the shards run in-process with the same checkpoint and (simulated)
-    crash semantics — identical outcome, no parallelism.
-    """
-    import multiprocessing
-    from multiprocessing.connection import wait as connection_wait
-
-    plan = ShardPlan(workload, n_shards)
-    if crash is not None and not (0 <= crash.shard < n_shards):
-        raise RecoveryError(
-            f"crash shard {crash.shard} out of range for K={n_shards}"
-        )
-    shard_governors = (
-        governor.split(n_shards) if governor is not None else [None] * n_shards
-    )
-    recovery = {
-        "checkpoints_taken": 0,
-        "crashes_detected": 0,
-        "workers_respawned": 0,
-        "events_replayed": 0,
-    }
-
-    if not fork_available():  # pragma: no cover - non-POSIX fallback
-        outcomes = []
-        for shard in range(n_shards):
-            crash_after = (
-                crash.after_items if crash is not None and crash.shard == shard
-                else None
-            )
-            outcome = run_shard_with_recovery(
-                shard, plan.schedules[shard][0], plan.schedules[shard][1],
-                workload, config=config, keep_items=keep_items,
-                governor=shard_governors[shard],
-                checkpoint_every=checkpoint_every, crash_after=crash_after,
-            )
-            recovery["checkpoints_taken"] += int(
-                outcome["counters"].get("checkpoint.checkpoints_saved", 0)
-            )
-            recovery["crashes_detected"] += int(
-                outcome["counters"].get("recovery.crashes_detected", 0)
-            )
-            recovery["workers_respawned"] += int(
-                outcome["counters"].get("recovery.workers_respawned", 0)
-            )
-            recovery["events_replayed"] += int(
-                outcome["counters"].get("recovery.events_replayed", 0)
-            )
-            outcomes.append(outcome)
-        merged = ShardedRunOutcome(plan, outcomes)
-        for key, value in recovery.items():
-            merged.counters[f"recovery.{key}"] = value
-        return merged
-
-    ctx = multiprocessing.get_context("fork")
-    logs = {
-        shard: InFlightLog(plan.schedules[shard][0], plan.schedules[shard][1])
-        for shard in range(n_shards)
-    }
-    latest: Dict[int, Dict[str, Any]] = {}
-    conns: Dict[int, Any] = {}
-    procs: Dict[int, Any] = {}
-    respawns = {shard: 0 for shard in range(n_shards)}
-    # A worker's checkpoint positions are relative to the schedules it
-    # was spawned with; the log base at spawn time translates them back
-    # into absolute schedule positions.
-    spawn_bases = {shard: (0, 0) for shard in range(n_shards)}
-
-    def spawn(
-        shard: int,
-        schedule_a: Schedule,
-        schedule_b: Schedule,
-        initial_state: Optional[Dict[str, Any]],
-        crash_after: Optional[int],
-    ) -> None:
-        parent_conn, child_conn = ctx.Pipe()
-        proc = ctx.Process(
-            target=_resilient_worker_main,
-            args=(child_conn, shard, schedule_a, schedule_b, workload,
-                  config, keep_items, shard_governors[shard],
-                  checkpoint_every, initial_state, crash_after),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        conns[shard] = parent_conn
-        procs[shard] = proc
-
-    for shard in range(n_shards):
-        crash_after = (
-            crash.after_items if crash is not None and crash.shard == shard
-            else None
-        )
-        spawn(
-            shard, plan.schedules[shard][0], plan.schedules[shard][1],
-            None, crash_after,
-        )
-
-    outcomes: Dict[int, Dict[str, Any]] = {}
-    try:
-        while len(outcomes) < n_shards:
-            pending = {
-                conns[shard]: shard
-                for shard in range(n_shards)
-                if shard not in outcomes
-            }
-            for conn in connection_wait(list(pending)):
-                shard = pending[conn]
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    # Dead worker: respawn from the latest checkpoint
-                    # with the in-flight log's unacknowledged suffix.
-                    conn.close()
-                    procs[shard].join()
-                    recovery["crashes_detected"] += 1
-                    if respawns[shard] >= max_respawns:
-                        raise RecoveryError(
-                            f"shard {shard} worker died "
-                            f"{respawns[shard] + 1} times; giving up"
-                        )
-                    respawns[shard] += 1
-                    recovery["workers_respawned"] += 1
-                    suffix_a, suffix_b = logs[shard].suffix()
-                    recovery["events_replayed"] += len(suffix_a) + len(suffix_b)
-                    checkpoint_state = latest.get(shard)
-                    spawn_bases[shard] = logs[shard].base
-                    spawn(shard, suffix_a, suffix_b, checkpoint_state, None)
-                    continue
-                kind = message[0]
-                if kind == "ckpt":
-                    _kind, _seq, _cut_ts, positions, state = message
-                    base_a, base_b = spawn_bases[shard]
-                    logs[shard].ack(base_a + positions[0], base_b + positions[1])
-                    latest[shard] = state
-                    recovery["checkpoints_taken"] += 1
-                elif kind == "done":
-                    outcomes[shard] = message[1]
-                elif kind == "error":
-                    raise RecoveryError(
-                        f"shard {shard} worker raised:\n{message[1]}"
-                    )
-    finally:
-        for conn in conns.values():
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-        for proc in procs.values():
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-
-    merged = ShardedRunOutcome(plan, [outcomes[s] for s in range(n_shards)])
-    for key, value in recovery.items():
-        merged.counters[f"recovery.{key}"] = value
-    return merged

@@ -1,9 +1,10 @@
 """Live shard rescaling: quiesce at a cover boundary, migrate, resume.
 
-``run_sharded_rescale(workload, RescalePlan(K1, K2, t))`` runs the
-first part of a workload on K1 shards, stops at the first *global*
-punctuation-cover boundary at or after virtual time ``t``,
-re-partitions the checkpointed join state across K2 shards, and
+``run_sharded(workload, K1, rescale=RescalePlan(K2, t))``
+(:mod:`repro.shard.backend`) runs the first part of a workload on K1
+shards, stops at the first *global* punctuation-cover boundary at or
+after virtual time ``t`` (:func:`global_cut`), re-partitions the
+checkpointed join state across K2 shards (:func:`migrate`), and
 finishes the run there.  The cut must be a cover
 boundary for the same reason checkpoints sit on one: the quiesce runs
 every shard's end-of-segment disk join and propagation, so the
@@ -37,52 +38,45 @@ propagated punctuations.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Dict, List, Optional, Tuple as PyTuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple as PyTuple
 
-from repro.checkpoint.recovery import (
-    DEFAULT_CHECKPOINT_EVERY,
-    _empty_outputs,
-    run_checkpointed_shard,
-)
+from repro.checkpoint.recovery import build_shard_join
 from repro.checkpoint.snapshot import restore_entry
 from repro.core.config import PJoinConfig
-from repro.core.pjoin import PJoin
 from repro.errors import RecoveryError
-from repro.memory.budget import GovernorSpec
 from repro.punctuations.patterns import WILDCARD
 from repro.punctuations.punctuation import Punctuation
 from repro.punctuations.store import is_join_exploitable
 from repro.query.plan import QueryPlan
-from repro.shard.backend import ShardedRunOutcome, ShardPlan
-from repro.shard.merger import AlignmentLedger
-from repro.shard.operator import aggregate_counters
 from repro.shard.routing import shard_of
 from repro.storage.hash_table import stable_hash
 from repro.storage.partition import INFINITY
-from repro.workloads.generator import GeneratedWorkload
+from repro.workloads.generator import GeneratedWorkload, Schedule
+
+if TYPE_CHECKING:
+    from repro.shard.backend import ShardedRunOutcome
 
 
 class RescalePlan:
-    """A ``K1 -> K2`` rescale at the first cover boundary after ``at_ts``."""
+    """A move to *n_after* shards at the first cover boundary after *at_ts*."""
 
-    __slots__ = ("n_before", "n_after", "at_ts")
+    __slots__ = ("n_after", "at_ts")
 
-    def __init__(self, n_before: int, n_after: int, at_ts: float) -> None:
-        if n_before < 1 or n_after < 1:
+    def __init__(self, n_after: int, at_ts: float) -> None:
+        if n_after < 1:
             raise RecoveryError(
-                f"rescale shard counts must be >= 1, got {n_before}:{n_after}"
+                f"rescale shard count must be >= 1, got {n_after}"
             )
         if at_ts < 0:
             raise RecoveryError(f"rescale time must be >= 0, got {at_ts}")
-        self.n_before = n_before
         self.n_after = n_after
         self.at_ts = at_ts
 
     def __repr__(self) -> str:
-        return f"RescalePlan({self.n_before}:{self.n_after}@{self.at_ts:g})"
+        return f"RescalePlan({self.n_after}@{self.at_ts:g})"
 
 
-def _global_cut(workload: GeneratedWorkload, at_ts: float) -> float:
+def global_cut(workload: GeneratedWorkload, at_ts: float) -> float:
     """First join-exploitable punctuation time at or after *at_ts*."""
     best: Optional[float] = None
     for side in (0, 1):
@@ -102,12 +96,12 @@ def _global_cut(workload: GeneratedWorkload, at_ts: float) -> float:
     return best
 
 
-def _split_schedules(
+def split_schedules(
     workload: GeneratedWorkload, cut_ts: float
-) -> PyTuple[PyTuple[list, list], PyTuple[list, list]]:
+) -> PyTuple[PyTuple[Schedule, Schedule], PyTuple[Schedule, Schedule]]:
     """Split both schedules at the cut: prefix ``ts <= T*``, suffix after."""
-    prefixes: List[list] = []
-    suffixes: List[list] = []
+    prefixes: List[Schedule] = []
+    suffixes: List[Schedule] = []
     for side in (0, 1):
         schedule = workload.schedules[side]
         times = [t for t, _item in schedule]
@@ -123,7 +117,6 @@ def _migrate_states(
     config: Optional[PJoinConfig],
     n_after: int,
     resume_ts: float,
-    name: str,
 ) -> PyTuple[List[Dict[str, Any]], Dict[str, int]]:
     """Re-bucket K1 final operator snapshots into K2 initial snapshots.
 
@@ -163,17 +156,7 @@ def _migrate_states(
 
     states: List[Dict[str, Any]] = []
     for shard in range(n_after):
-        plan = QueryPlan()
-        join = PJoin(
-            plan.engine,
-            plan.cost_model,
-            workload.schemas[0],
-            workload.schemas[1],
-            workload.join_fields[0],
-            workload.join_fields[1],
-            config=config,
-            name=f"{name}.shard{shard}",
-        )
+        join = build_shard_join(QueryPlan(), workload, shard, config)
         any_disk = False
         for side_index in (0, 1):
             side = join.sides[side_index]
@@ -231,131 +214,33 @@ def _rebuild_punctuation(
     return Punctuation(schema, patterns, ts=ts)
 
 
-class RescaleOutcome:
-    """The merged view of one rescaled run (mirrors ShardedRunOutcome)."""
-
-    def __init__(
-        self,
-        phase1_results: Optional[List[PyTuple[tuple, float]]],
-        phase1_punctuations: List[PyTuple[Any, float]],
-        phase1_outcomes: List[Dict[str, Any]],
-        phase2: ShardedRunOutcome,
-        rescale_counters: Dict[str, Any],
-        keep_items: bool,
-    ) -> None:
-        self.n_shards = phase2.n_shards
-        self.shard_outcomes = phase1_outcomes + phase2.shard_outcomes
-        self.result_count = (
-            sum(o["result_count"] for o in phase1_outcomes) + phase2.result_count
-        )
-        self.events = sum(o["events"] for o in phase1_outcomes) + phase2.events
-        self.virtual_now = max(
-            [phase2.virtual_now]
-            + [o["virtual_now"] for o in phase1_outcomes]
-        )
-        if keep_items:
-            self.results: Optional[List[PyTuple[tuple, float]]] = sorted(
-                (phase1_results or []) + phase2.results, key=lambda r: r[1]
-            )
-        else:
-            self.results = None
-        self.punctuations = list(phase1_punctuations) + list(phase2.punctuations)
-        self.punctuations_unaligned = phase2.punctuations_unaligned
-        self.counters = aggregate_counters(
-            [o["counters"] for o in self.shard_outcomes]
-        )
-        self.counters["shards"] = self.n_shards
-        for key, value in rescale_counters.items():
-            self.counters[f"rescale.{key}"] = value
-
-    def result_multiset(self) -> Dict[tuple, int]:
-        counts: Dict[tuple, int] = {}
-        for values, _ts in self.results or []:
-            counts[values] = counts.get(values, 0) + 1
-        return counts
-
-    def punctuation_multiset(self) -> Dict[Any, int]:
-        counts: Dict[Any, int] = {}
-        for pattern, _ts in self.punctuations:
-            counts[pattern] = counts.get(pattern, 0) + 1
-        return counts
-
-
-def run_sharded_rescale(
+def migrate(
     workload: GeneratedWorkload,
     rescale: RescalePlan,
-    config: Optional[PJoinConfig] = None,
-    keep_items: bool = True,
-    governor: Optional[GovernorSpec] = None,
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-    name: str = "pjoin",
-) -> RescaleOutcome:
-    """Run *workload* on K1 shards, rescale to K2 at the cut, finish.
+    cut_ts: float,
+    suffix: PyTuple[Schedule, Schedule],
+    first: ShardedRunOutcome,
+    config: Optional[PJoinConfig],
+) -> PyTuple[GeneratedWorkload, List[Dict[str, Any]], Dict[str, Any]]:
+    """Move the first phase's quiesced state to ``rescale.n_after`` shards.
 
-    Both phases run the in-process checkpointed shard runner; the
-    result and punctuation multisets equal the unsharded operator's
-    (``repro check recovery_smoke`` asserts exactly that).
+    *first* is the first phase's outcome, run over the prefix with
+    final snapshots.  Returns the workload the new shards run (the
+    still-unsettled promises re-delivered at the cut, then the
+    *suffix*), each new shard's initial runner state, and the
+    ``rescale.*`` counters.
     """
-    cut_ts = _global_cut(workload, rescale.at_ts)
-    prefix, suffix = _split_schedules(workload, cut_ts)
-    prefix_workload = GeneratedWorkload(workload.spec, prefix[0], prefix[1])
-
-    # ---- Phase 1: K1 shards over the prefix, quiescing at the cut ----
-    k1 = rescale.n_before
-    plan1 = ShardPlan(prefix_workload, k1)
-    governors1 = (
-        governor.split(k1) if governor is not None else [None] * k1
-    )
-    outcomes1: List[Dict[str, Any]] = []
-    for shard in range(k1):
-        outcomes1.append(
-            run_checkpointed_shard(
-                shard,
-                plan1.schedules[shard][0],
-                plan1.schedules[shard][1],
-                prefix_workload,
-                config=config,
-                keep_items=True,  # punctuations drive the ledger replay
-                governor=governors1[shard],
-                checkpoint_every=checkpoint_every,
-                final_snapshot=True,
-                name=name,
-            )
-        )
-
-    # Replay the prefix's alignment ledger to find which promises were
-    # fully merged in phase 1 and which are still owed to the suffix.
-    ledger = AlignmentLedger()
-    registered = []
-    for _ts, side, pattern, cover in plan1.registrations:
-        sub = ledger.register(pattern, cover)
-        if sub is not None:
-            registered.append((side, sub))
-    arrivals = []
-    for outcome in outcomes1:
-        for index, (pattern, ts) in enumerate(outcome["punctuations"]):
-            arrivals.append((ts, outcome["shard"], index, pattern))
-    arrivals.sort(key=lambda a: (a[0], a[1], a[2]))
-    phase1_punctuations: List[PyTuple[Any, float]] = []
-    for ts, shard, _index, pattern in arrivals:
-        matched, original = ledger.settle(shard, pattern)
-        if matched and original is not None:
-            phase1_punctuations.append((original, ts))
-    unsettled = [(side, sub.original) for side, sub in registered if sub.remaining]
-
-    # ---- Migration: re-bucket state, re-deliver open promises --------
-    k2 = rescale.n_after
-    final_states = [outcome.pop("final_state") for outcome in outcomes1]
+    final_states = [outcome.pop("final_state") for outcome in first.shard_outcomes]
     # The migrated dedupe metadata is stamped at the latest final clock
     # over the old shards; the new shards come up one virtual tick
     # later, so every post-migration arrival is strictly newer than
     # every migrated probe/departure stamp.
-    resume_ts = max(outcome["virtual_now"] for outcome in outcomes1)
-    states2, migrated = _migrate_states(
-        final_states, workload, config, k2, resume_ts, name
+    resume_ts = first.duration_ms
+    states, migrated = _migrate_states(
+        final_states, workload, config, rescale.n_after, resume_ts
     )
-    replay_items: List[list] = [[], []]
-    for side, pattern in unsettled:
+    replay_items: List[Schedule] = [[], []]
+    for side, pattern in first.unsettled:
         replay_items[side].append(
             (cut_ts, _rebuild_punctuation(workload, side, pattern, cut_ts))
         )
@@ -364,53 +249,16 @@ def run_sharded_rescale(
         replay_items[0] + suffix[0],
         replay_items[1] + suffix[1],
     )
-
-    # ---- Phase 2: K2 shards over the suffix ---------------------------
-    plan2 = ShardPlan(suffix_workload, k2)
-    governors2 = (
-        governor.split(k2) if governor is not None else [None] * k2
-    )
-    outcomes2: List[Dict[str, Any]] = []
-    for shard in range(k2):
-        outputs = _empty_outputs(True)
-        outputs["virtual_now"] = resume_ts + 1.0
-        outcomes2.append(
-            run_checkpointed_shard(
-                shard,
-                plan2.schedules[shard][0],
-                plan2.schedules[shard][1],
-                suffix_workload,
-                config=config,
-                keep_items=True,
-                governor=governors2[shard],
-                checkpoint_every=checkpoint_every,
-                initial_state={
-                    "operator": states2[shard],
-                    "outputs": outputs,
-                },
-                name=name,
-            )
-        )
-    phase2 = ShardedRunOutcome(plan2, outcomes2)
-
-    rescale_counters = {
+    initial_states = [
+        {"operator": state, "outputs": {"virtual_now": resume_ts + 1.0}}
+        for state in states
+    ]
+    counters = {
         "cut_ts": cut_ts,
-        "shards_before": k1,
-        "shards_after": k2,
+        "shards_before": first.n_shards,
+        "shards_after": rescale.n_after,
         "migrated_tuples": migrated["tuples"],
         "migrated_disk_tuples": migrated["disk_tuples"],
-        "replayed_punctuations": len(unsettled),
+        "replayed_punctuations": len(first.unsettled),
     }
-    phase1_results = None
-    if keep_items:
-        phase1_results = []
-        for outcome in outcomes1:
-            phase1_results.extend(outcome["results"] or [])
-    return RescaleOutcome(
-        phase1_results,
-        phase1_punctuations,
-        outcomes1,
-        phase2,
-        rescale_counters,
-        keep_items,
-    )
+    return suffix_workload, initial_states, counters

@@ -21,8 +21,8 @@ import math
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.checkpoint.recovery import CrashSpec, run_sharded_resilient
-from repro.checkpoint.rescale import RescalePlan, run_sharded_rescale
+from repro.checkpoint.recovery import CrashSpec
+from repro.checkpoint.rescale import RescalePlan
 from repro.core.config import PJoinConfig
 from repro.experiments.harness import (
     ExperimentRun,
@@ -39,7 +39,7 @@ from repro.planner import PlannerSpec, get_preset
 from repro.profiling.presets import resolve_preset
 from repro.profiling.runner import check_profile, run_profile
 from repro.resilience.chaos import CHAOS_SCENARIOS, run_chaos
-from repro.shard.backend import run_sharded_multiprocess
+from repro.shard.backend import run_sharded
 from repro.sim.costs import CostModel
 from repro.skew import SkewSpec
 from repro.workloads.generator import GeneratedWorkload, generate_workload
@@ -74,22 +74,21 @@ def run_variants(
 ) -> Tuple[Dict[str, Any], List[str]]:
     """Run the variants in turn; return ``keep(run)`` of each, and failures.
 
-    A variant returns an :class:`ExperimentRun` or a multiprocess or
-    rescaled run's merged outcome.  Its output is its result multiset
-    and its output punctuation multiset.  The first variant's results
-    must equal *reference*, the oracle's multiset; every other
-    variant's output must equal the first's.  A run is dropped as soon
-    as its output and ``keep(run)`` are taken, so at most one is held.
+    A variant returns an :class:`ExperimentRun` or a sharded run's
+    merged outcome.  Its output is its result multiset and its output
+    punctuation multiset.  The first variant's results must equal
+    *reference*, the oracle's multiset; every other variant's output
+    must equal the first's.  A run is dropped as soon as its output and
+    ``keep(run)`` are taken, so at most one is held.
     """
     kept: Dict[str, Any] = {}
     failures: List[str] = []
     first: Optional[Tuple[str, Any]] = None
     for label, variant in variants.items():
         run = variant()
-        merged = run.sink if isinstance(run, ExperimentRun) else run
-        output = (merged.result_multiset(), merged.punctuation_multiset())
+        output = (run.result_multiset(), run.punctuation_multiset())
         kept[label] = keep(run)
-        del run, merged
+        del run
         if first is None:
             first = (label, output)
             if output[0] != reference:
@@ -122,9 +121,7 @@ def _join(
 
 def _row(run: Any) -> Tuple[int, int, float]:
     """Results, output punctuations and finish time of one run."""
-    if isinstance(run, ExperimentRun):
-        return run.results, run.punctuations_out, run.duration_ms
-    return run.result_count, len(run.punctuations), run.virtual_now
+    return run.results, run.punctuations_out, run.duration_ms
 
 
 def _rows(rows: Dict[str, Tuple[int, int, float]]) -> Summary:
@@ -266,7 +263,7 @@ def shard_smoke() -> CheckResult:
     variants, workload = _sharded(2000, (1, 2, 4))
     for k in (1, 2, 4):
         variants[f"K={k} mp"] = functools.partial(
-            run_sharded_multiprocess, workload, k, config=_SHARD_CONFIG
+            run_sharded, workload, k, config=_SHARD_CONFIG
         )
     rows, failures = run_variants(variants, _oracle(workload), _row)
     return _rows(rows), failures
@@ -282,13 +279,12 @@ def recovery_smoke() -> CheckResult:
     variants, workload = _sharded(1200, (1, 2))
     for k in (1, 2):
         variants[f"K={k} mp+crash"] = functools.partial(
-            run_sharded_resilient, workload, k, config=_SHARD_CONFIG,
+            run_sharded, workload, k, config=_SHARD_CONFIG,
             checkpoint_every=4, crash=CrashSpec(0, 80),
         )
     variants["K=2->3 rescale"] = functools.partial(
-        run_sharded_rescale, workload,
-        RescalePlan(2, 3, workload.end_time / 2), config=_SHARD_CONFIG,
-        checkpoint_every=4,
+        run_sharded, workload, 2, config=_SHARD_CONFIG, checkpoint_every=4,
+        rescale=RescalePlan(3, workload.end_time / 2),
     )
     rows, failures = run_variants(variants, _oracle(workload), _row)
     return _rows(rows), failures

@@ -236,7 +236,7 @@ def _add_plan_parser(sub) -> None:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    from repro.checkpoint import cover_cut_times_n
+    from repro.checkpoint import cover_cut_times
     from repro.errors import PlannerError
     from repro.experiments.harness import run_nary_experiment
     from repro.planner import PlannerSpec, get_preset, preset_names
@@ -275,9 +275,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
           f"{order_names(adaptive.join.stream_order)}")
     print(f"results:     {adaptive.results} tuples in "
           f"{adaptive.duration_ms:.0f} virtual ms")
-    boundaries = cover_cut_times_n(
-        workload.schedules, workload.join_fields,
-        every=args.purge_threshold,
+    boundaries = cover_cut_times(
+        workload.schedules, workload.join_fields, args.purge_threshold
     )
     print(f"boundaries:  {reopt.boundaries} purge-complete cover cuts "
           f"(schedule predicts {len(boundaries)}), re-optimized every "

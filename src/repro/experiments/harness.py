@@ -212,6 +212,12 @@ class ExperimentRun:
     def punctuations_out(self) -> int:
         return self.sink.punctuation_count
 
+    def result_multiset(self) -> Dict[tuple, int]:
+        return self.sink.result_multiset()
+
+    def punctuation_multiset(self) -> Dict[Any, int]:
+        return self.sink.punctuation_multiset()
+
     def mean_state(self) -> float:
         return self.state_series.time_weighted_mean()
 

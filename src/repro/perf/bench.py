@@ -190,8 +190,8 @@ def _prepare_fig5_sharded(scale: float) -> Callable[[], Dict[str, Any]]:
         outcome = pool.run()
         return {
             "events": outcome.events,
-            "results": outcome.result_count,
-            "virtual_ms": outcome.virtual_now,
+            "results": outcome.results,
+            "virtual_ms": outcome.duration_ms,
         }
 
     return run

@@ -5,7 +5,7 @@ The :class:`Reoptimizer` attaches to a live
 **purge-complete boundary** — the moment the monitor's purge threshold
 fires and covered state has just been retired.  These are exactly the
 punctuation-aligned cover cuts :mod:`repro.checkpoint` snapshots at
-(see :func:`repro.checkpoint.recovery.cover_cut_times_n`), and they are
+(see :func:`repro.checkpoint.recovery.cover_cut_times`), and they are
 the only safe re-plan points: state is minimal, and no tuple is mid-
 pipeline.
 

@@ -238,7 +238,8 @@ def _run_chaos_crash(
     recovery counters (never checkpoint byte sizes, which depend on
     the pickle encoding of the running interpreter).
     """
-    from repro.checkpoint.recovery import CrashSpec, run_sharded_resilient
+    from repro.checkpoint.recovery import CrashSpec
+    from repro.shard.backend import run_sharded
 
     workload = generate_workload(
         n_tuples_per_stream=scenario.tuples_per_stream,
@@ -269,7 +270,7 @@ def _run_chaos_crash(
     plan.add_source(workload.schedule_b, join, port=1, name="B")
     plan.run()
 
-    outcome = run_sharded_resilient(
+    outcome = run_sharded(
         workload,
         scenario.n_shards,
         config=config,
@@ -293,7 +294,7 @@ def _run_chaos_crash(
         "crash_after_items": scenario.crash_after_items,
         "checkpoint_every": scenario.checkpoint_every,
         "reference_results": sink.tuple_count,
-        "results_produced": outcome.result_count,
+        "results_produced": outcome.results,
         "results_match": int(outcome.result_multiset() == sink.result_multiset()),
         "punctuations_match": int(
             outcome.punctuation_multiset() == sink.punctuation_multiset()

@@ -36,8 +36,7 @@ __all__ = [
     "aggregate_counters",
     "fork_available",
     "narrow_punctuation",
-    "run_shard_simulation",
-    "run_sharded_multiprocess",
+    "run_sharded",
     "shard_cover",
     "shard_of",
     "sharded_pjoin",

@@ -4,7 +4,7 @@ The central property: a seeded crash before the Nth delivery — for
 *any* N — followed by restore-from-latest-checkpoint and replay of the
 unacknowledged suffix yields exactly the reference join multiset.  The
 in-flight log unit tests pin the bounded-replay bookkeeping, and the
-multiprocess supervisor smoke drives the real fork/respawn path.
+worker pool smoke drives the real fork/respawn path.
 """
 
 from collections import Counter
@@ -14,14 +14,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.checkpoint.recovery import (
     CrashSpec,
+    cover_cut_times,
     run_checkpointed_shard,
     run_shard_with_recovery,
-    run_sharded_resilient,
 )
 from repro.core.config import PJoinConfig
 from repro.errors import OperatorError, RecoveryError
 from repro.experiments.harness import pjoin_factory, run_join_experiment
-from repro.shard.backend import fork_available
+from repro.shard import backend
+from repro.shard.backend import fork_available, run_sharded
 from repro.shard.router import InFlightLog
 from repro.workloads.generator import generate_workload
 from repro.workloads.reference import reference_join_multiset
@@ -83,6 +84,25 @@ class TestCheckpointedRun:
             config=CONFIGS["eager"], checkpoint_every=2,
         )
         assert outcome["counters"]["checkpoint.save_time_ms"] > 0
+
+    def test_without_an_interval_one_segment_and_no_store(
+        self, workload, reference
+    ):
+        outcome = run_checkpointed_shard(
+            0, workload.schedule_a, workload.schedule_b, workload,
+            config=CONFIGS["spill"],
+        )
+        assert result_multiset(outcome) == reference
+        assert not [k for k in outcome["counters"] if k.startswith("checkpoint.")]
+        assert "final_state" not in outcome
+
+    def test_interval_is_checked_before_the_scan(self):
+        class Unscannable:
+            def __iter__(self):
+                raise AssertionError("the schedule was scanned")
+
+        with pytest.raises(RecoveryError, match="must be >= 1, got 0"):
+            cover_cut_times([Unscannable()], ["key"], 0)
 
 
 class TestCrashAtAnyIndex:
@@ -169,7 +189,7 @@ class TestSupervisedBackend:
         base = run_join_experiment(
             pjoin_factory(config), workload, label="base", keep_items=True
         )
-        outcome = run_sharded_resilient(
+        outcome = run_sharded(
             workload, 2, config=config, keep_items=True,
             checkpoint_every=2, crash=CrashSpec(0, 40),
         )
@@ -181,14 +201,31 @@ class TestSupervisedBackend:
 
     def test_crash_shard_out_of_range_raises(self, workload):
         with pytest.raises(RecoveryError, match="out of range"):
-            run_sharded_resilient(workload, 2, crash=CrashSpec(5, 10))
+            run_sharded(workload, 2, crash=CrashSpec(5, 10))
 
-    def test_worker_exception_is_raised_not_respawned(self, workload):
+    def test_worker_exception_is_raised_not_respawned(
+        self, workload, monkeypatch
+    ):
         # The same input raises again on every respawn, so the
         # supervisor must surface the worker's own error at once.
+        monkeypatch.setattr(
+            backend, "run_checkpointed_shard", failing_on_shard(1)
+        )
         with pytest.raises(RecoveryError) as excinfo:
-            run_sharded_resilient(workload, 2, checkpoint_every=0)
+            run_sharded(workload, 2, checkpoint_every=2)
         message = str(excinfo.value)
         assert "worker raised" in message
-        assert "checkpoint_every must be >= 1, got 0" in message
+        assert "RuntimeError: planted failure on shard 1" in message
         assert "died" not in message
+
+
+def failing_on_shard(failing):
+    """The per-shard runner, raising on shard *failing* only."""
+    run = backend.run_checkpointed_shard
+
+    def run_or_fail(shard_index, *args, **kwargs):
+        if shard_index == failing:
+            raise RuntimeError(f"planted failure on shard {shard_index}")
+        return run(shard_index, *args, **kwargs)
+
+    return run_or_fail

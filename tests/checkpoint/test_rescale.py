@@ -12,10 +12,11 @@ from collections import Counter
 
 import pytest
 
-from repro.checkpoint.rescale import RescalePlan, run_sharded_rescale
+from repro.checkpoint.rescale import RescalePlan
 from repro.core.config import PJoinConfig
 from repro.errors import RecoveryError
 from repro.experiments.harness import pjoin_factory, run_join_experiment
+from repro.shard.backend import run_sharded
 from repro.workloads.generator import generate_workload
 
 
@@ -38,10 +39,10 @@ def unsharded(workload, config):
 
 
 class TestRescalePlan:
-    @pytest.mark.parametrize("counts_at", [(0, 2, 5.0), (2, 0, 5.0), (2, 2, -1.0)])
-    def test_invalid_values_raise(self, counts_at):
+    @pytest.mark.parametrize("count_at", [(0, 5.0), (2, -1.0)])
+    def test_invalid_values_raise(self, count_at):
         with pytest.raises(RecoveryError):
-            RescalePlan(*counts_at)
+            RescalePlan(*count_at)
 
 
 class TestRescaleEquivalence:
@@ -49,9 +50,10 @@ class TestRescaleEquivalence:
     def test_result_multiset_matches_unsharded(self, workload, k1, k2):
         config = PJoinConfig(purge_threshold=1, propagation_mode="push_count")
         base_results, base_puncts = unsharded(workload, config)
-        outcome = run_sharded_rescale(
+        outcome = run_sharded(
             workload,
-            RescalePlan(k1, k2, workload.end_time / 2),
+            k1,
+            rescale=RescalePlan(k2, workload.end_time / 2),
             config=config,
             checkpoint_every=2,
         )
@@ -68,9 +70,10 @@ class TestRescaleEquivalence:
         # dedupe rules double-produce (or drop) disk pairs.
         config = PJoinConfig(purge_threshold=3, memory_threshold=30)
         base_results, _ = unsharded(workload, config)
-        outcome = run_sharded_rescale(
+        outcome = run_sharded(
             workload,
-            RescalePlan(k1, k2, workload.end_time / 2),
+            k1,
+            rescale=RescalePlan(k2, workload.end_time / 2),
             config=config,
             checkpoint_every=2,
         )
@@ -78,12 +81,13 @@ class TestRescaleEquivalence:
 
     def test_early_cut_migrates_little_late_cut_much(self, workload):
         config = PJoinConfig(purge_threshold=1)
-        early = run_sharded_rescale(
-            workload, RescalePlan(2, 3, 0.0), config=config,
+        early = run_sharded(
+            workload, 2, rescale=RescalePlan(3, 0.0), config=config,
         )
-        late = run_sharded_rescale(
+        late = run_sharded(
             workload,
-            RescalePlan(2, 3, workload.end_time * 0.9),
+            2,
+            rescale=RescalePlan(3, workload.end_time * 0.9),
             config=config,
         )
         base_results, _ = unsharded(workload, config)
@@ -93,8 +97,9 @@ class TestRescaleEquivalence:
 
     def test_no_boundary_after_cut_time_raises(self, workload):
         with pytest.raises(RecoveryError, match="boundary"):
-            run_sharded_rescale(
+            run_sharded(
                 workload,
-                RescalePlan(2, 3, workload.end_time * 10),
+                2,
+                rescale=RescalePlan(3, workload.end_time * 10),
                 config=PJoinConfig(purge_threshold=1),
             )

@@ -20,13 +20,14 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.checkpoint.rescale import RescalePlan, run_sharded_rescale
+from repro.checkpoint.rescale import RescalePlan
 from repro.checkpoint.snapshot import restore_table_into, snapshot_table
 from repro.core.config import PJoinConfig
 from repro.core.pjoin import PJoin
 from repro.memory.budget import GovernorSpec
 from repro.memory.governor import MemoryGovernor
 from repro.memory.policies import POLICIES
+from repro.shard.backend import run_sharded
 from repro.sim.costs import CostModel
 from repro.skew.partitioner import AdaptiveTable
 from repro.skew.sketch import FrequencySketch
@@ -311,9 +312,10 @@ def test_rescale_migration_counts_match_recount(
         n_tuples_per_stream=240, punct_spacing_a=12, punct_spacing_b=12,
         seed=11,
     )
-    run_sharded_rescale(
+    run_sharded(
         workload,
-        RescalePlan(2, 3, workload.end_time / 2),
+        2,
+        rescale=RescalePlan(3, workload.end_time / 2),
         config=config,
         governor=governor,
         checkpoint_every=2,

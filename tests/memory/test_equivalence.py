@@ -27,7 +27,7 @@ from repro.memory.budget import GovernorSpec
 from repro.operators.sink import Sink
 from repro.punctuations.punctuation import Punctuation
 from repro.query.plan import QueryPlan
-from repro.shard.backend import run_sharded_multiprocess
+from repro.shard.backend import run_sharded
 from repro.sim.costs import CostModel
 from repro.tuples.schema import Schema
 from repro.tuples.tuple import Tuple
@@ -215,7 +215,7 @@ def test_governed_nary_join_pickles():
 # ----------------------------------------------------------------------
 
 def test_sharded_governed_matches_oracle(workload, oracle):
-    outcome = run_sharded_multiprocess(
+    outcome = run_sharded(
         workload, 2, config=CONFIG, governor=GovernorSpec(TIGHT)
     )
     assert Counter(outcome.result_multiset()) == Counter(
@@ -225,9 +225,9 @@ def test_sharded_governed_matches_oracle(workload, oracle):
 
 
 def test_sharded_unlimited_matches_ungoverned_sharded(workload):
-    base = run_sharded_multiprocess(workload, 2, config=CONFIG)
-    inf = run_sharded_multiprocess(
+    base = run_sharded(workload, 2, config=CONFIG)
+    inf = run_sharded(
         workload, 2, config=CONFIG, governor=GovernorSpec(math.inf)
     )
     assert inf.result_multiset() == base.result_multiset()
-    assert inf.virtual_now == base.virtual_now
+    assert inf.duration_ms == base.duration_ms

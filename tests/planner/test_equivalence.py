@@ -12,7 +12,7 @@ from itertools import permutations
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.checkpoint import cover_cut_times_n
+from repro.checkpoint import cover_cut_times
 from repro.core.config import PJoinConfig
 from repro.experiments.harness import run_nary_experiment
 from repro.planner import PlannerSpec, get_preset
@@ -99,7 +99,7 @@ def test_boundaries_align_with_checkpoint_cover_cuts():
         PlannerSpec(mode="adaptive", reopt_interval=1),
         purge_threshold=every,
     )
-    predicted = cover_cut_times_n(
+    predicted = cover_cut_times(
         workload.schedules, workload.join_fields, every=every
     )
     assert run.join.reoptimizer.boundaries == len(predicted)

@@ -49,8 +49,7 @@ BACKEND_NAMES = (
     "ShardPlan",
     "ShardWorkerPool",
     "fork_available",
-    "run_shard_simulation",
-    "run_sharded_multiprocess",
+    "run_sharded",
     "warm_pool",
 )
 

@@ -4,12 +4,12 @@ import pytest
 
 from repro.core.config import PJoinConfig
 from repro.experiments.harness import pjoin_factory, run_join_experiment
+from repro.checkpoint.recovery import run_checkpointed_shard
 from repro.shard.backend import (
     ShardPlan,
     ShardWorkerPool,
     fork_available,
-    run_shard_simulation,
-    run_sharded_multiprocess,
+    run_sharded,
 )
 from repro.tuples.tuple import Tuple
 from repro.workloads.generator import generate_workload
@@ -74,22 +74,22 @@ class TestShardPlan:
 class TestMultiprocessEquivalence:
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_matches_unsharded_reference(self, workload, base, k):
-        outcome = run_sharded_multiprocess(workload, k, config=CONFIG)
-        assert outcome.result_count == base.results
+        outcome = run_sharded(workload, k, config=CONFIG)
+        assert outcome.results == base.results
         assert outcome.result_multiset() == base.sink.result_multiset()
         assert outcome.punctuation_multiset() == base_punct_multiset(base)
         assert outcome.punctuations_unaligned == 0
 
     def test_counters_aggregate_to_unsharded_flow(self, workload, base):
-        outcome = run_sharded_multiprocess(workload, 4, config=CONFIG)
+        outcome = run_sharded(workload, 4, config=CONFIG)
         base_counters = base.join.counters()
         for name in ("tuples_in", "results_produced", "tuples_purged",
                      "probes", "probe_matches"):
             assert outcome.counters[name] == base_counters[name], name
 
     def test_results_ordered_by_virtual_time(self, workload):
-        outcome = run_sharded_multiprocess(workload, 2, config=CONFIG)
-        times = [ts for _values, ts in outcome.results]
+        outcome = run_sharded(workload, 2, config=CONFIG)
+        times = [ts for _values, ts in outcome.result_items]
         assert times == sorted(times)
 
 
@@ -103,21 +103,21 @@ class TestWorkerPool:
             second = pool.run()
         finally:
             pool.close()
-        assert first.result_count == second.result_count
+        assert first.results == second.results
         assert first.events == second.events
         assert first.counters == second.counters
 
     def test_inline_worker_matches_pool_worker(self, workload):
-        # run_shard_simulation is the exact function the forked workers
-        # execute; running it inline must give the same outcome.
+        # run_checkpointed_shard is the exact function the forked
+        # workers execute; running it inline must give the same outcome.
         plan = ShardPlan(workload, 2)
         inline = [
-            run_shard_simulation(
+            run_checkpointed_shard(
                 shard, plan.schedules[shard][0], plan.schedules[shard][1],
                 workload, CONFIG, True,
             )
             for shard in range(2)
         ]
-        outcome = run_sharded_multiprocess(workload, 2, config=CONFIG)
-        assert sum(o["result_count"] for o in inline) == outcome.result_count
+        outcome = run_sharded(workload, 2, config=CONFIG)
+        assert sum(o["result_count"] for o in inline) == outcome.results
         assert sum(o["events"] for o in inline) == outcome.events
