@@ -7,10 +7,11 @@ conditions are the paper's correctness claim (§3.4) for one layer:
 the first variant of a join emits exactly the reference oracle's
 result multiset, and every other variant exactly the first's output
 (:func:`run_variants`).  ``repro check`` diffs each summary
-against ``<goldens>/<name>.json`` (:func:`golden_drift`).  To
-regenerate a golden after an intended change, from the repo root::
+against ``<goldens>/<name>.json`` (:func:`golden_drift`), values and
+bytes.  To regenerate a golden after an intended change, from the repo
+root::
 
-    PYTHONPATH=src python -c 'import json, sys; from repro.checks import CHECKS; n = sys.argv[1]; open(f"tests/goldens/{n}.json", "w").write(json.dumps(CHECKS[n]()[0], indent=1) + "\\n")' shard_smoke
+    PYTHONPATH=src python -c 'import sys; from repro.checks import CHECKS, render; n = sys.argv[1]; open(f"tests/goldens/{n}.json", "w").write(render(CHECKS[n]()[0]))' shard_smoke
 """
 
 from __future__ import annotations
@@ -53,18 +54,32 @@ Summary = Dict[str, Any]
 CheckResult = Tuple[Summary, List[str]]
 
 
+def render(summary: Summary) -> str:
+    """The bytes of a golden that holds *summary*."""
+    return json.dumps(summary, indent=1) + "\n"
+
+
 def golden_drift(name: str, summary: Summary, goldens: Path) -> List[str]:
-    """How *summary* differs from ``goldens/<name>.json``, one line a key."""
+    """How *summary* differs from ``goldens/<name>.json``, one line a key.
+
+    A golden that holds every value but not as :func:`render` writes
+    them is reported too, so that regenerating every golden changes no
+    byte of a passing one.
+    """
     path = goldens / f"{name}.json"
     if not path.exists():
         return [f"missing golden: {path}"]
-    golden = json.loads(path.read_text())
-    return [
+    text = path.read_text()
+    golden = json.loads(text)
+    drift = [
         f"drift in {name}.{key}: golden={golden.get(key)!r} "
         f"run={summary.get(key)!r}"
         for key in sorted(set(golden) | set(summary))
         if golden.get(key) != summary.get(key)
     ]
+    if not drift and text != render(summary):
+        drift.append(f"{path} is not as the checks render it; regenerate it")
+    return drift
 
 
 def run_variants(
@@ -352,7 +367,7 @@ def profile_smoke() -> CheckResult:
 
 def chaos(name: str) -> CheckResult:
     """A chaos preset under quarantine; its counter golden is the gate."""
-    return run_chaos(name).summary, []
+    return dict(sorted(run_chaos(name).summary.items())), []
 
 
 CHECKS: Dict[str, Callable[[], CheckResult]] = {

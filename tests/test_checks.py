@@ -45,6 +45,18 @@ def test_drifted_key_fails_and_names_it(tmp_path, capsys):
     assert "drift in chaos_gentle.results_produced" in drift[0]
 
 
+def test_golden_not_as_rendered_fails_without_drift(tmp_path, capsys):
+    # Every value holds, but the bytes are not what the regenerating
+    # one-liner would write.
+    golden = json.loads((GOLDENS / "chaos_gentle.json").read_text())
+    path = tmp_path / "chaos_gentle.json"
+    path.write_text(json.dumps(golden, indent=2) + "\n")
+    assert main(["check", "chaos_gentle", "--goldens", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "drift in" not in err
+    assert f"{path} is not as the checks render it" in err
+
+
 def test_failed_condition_exits_1(monkeypatch, capsys):
     golden = json.loads((GOLDENS / "chaos_gentle.json").read_text())
     monkeypatch.setitem(CHECKS, "chaos_gentle", lambda: (golden, ["it broke"]))
