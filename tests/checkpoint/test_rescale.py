@@ -39,10 +39,10 @@ def unsharded(workload, config):
 
 
 class TestRescalePlan:
-    @pytest.mark.parametrize("count_at", [(0, 5.0), (2, -1.0)])
-    def test_invalid_values_raise(self, count_at):
+    @pytest.mark.parametrize("counts_at", [(0, 5.0), (2, -1.0)])
+    def test_invalid_values_raise(self, counts_at):
         with pytest.raises(RecoveryError):
-            RescalePlan(*count_at)
+            RescalePlan(*counts_at)
 
 
 class TestRescaleEquivalence:
