@@ -8,6 +8,7 @@ worker pool smoke drives the real fork/respawn path.
 """
 
 from collections import Counter
+from multiprocessing.process import BaseProcess
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -217,6 +218,27 @@ class TestSupervisedBackend:
         assert "worker raised" in message
         assert "RuntimeError: planted failure on shard 1" in message
         assert "died" not in message
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs fork start method")
+def test_plain_run_raises_the_worker_error(workload, monkeypatch):
+    # No checkpoints and no crash: the supervisor still names the shard
+    # and carries its traceback, and starts no replacement worker.
+    started = []
+    start = BaseProcess.start
+
+    def counting_start(process):
+        started.append(process)
+        start(process)
+
+    monkeypatch.setattr(backend, "run_checkpointed_shard", failing_on_shard(1))
+    monkeypatch.setattr(BaseProcess, "start", counting_start)
+    with pytest.raises(RecoveryError) as excinfo:
+        run_sharded(workload, 2)
+    message = str(excinfo.value)
+    assert message.startswith("shard 1 worker raised:\nTraceback")
+    assert "RuntimeError: planted failure on shard 1" in message
+    assert len(started) == 2
 
 
 def failing_on_shard(failing):

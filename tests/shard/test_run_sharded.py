@@ -1,4 +1,4 @@
-"""The one sharded runner: its refusals, worker errors and in-process loop."""
+"""The one sharded runner: its refusals and its in-process loop."""
 
 from multiprocessing.process import BaseProcess
 
@@ -58,34 +58,6 @@ class TestRefusals:
                 workload, 2, crash=CrashSpec(0, 10),
                 rescale=RescalePlan(3, workload.end_time / 2),
             )
-
-
-@pytest.mark.skipif(not fork_available(), reason="needs fork start method")
-def test_plain_run_raises_the_worker_error(workload, monkeypatch):
-    # No checkpoints and no crash: the supervisor still names the shard
-    # and carries its traceback, and starts no replacement worker.
-    run = backend.run_checkpointed_shard
-
-    def fail_on_shard_1(shard_index, *args, **kwargs):
-        if shard_index == 1:
-            raise RuntimeError("planted failure")
-        return run(shard_index, *args, **kwargs)
-
-    started = []
-    start = BaseProcess.start
-
-    def counting_start(process):
-        started.append(process)
-        start(process)
-
-    monkeypatch.setattr(backend, "run_checkpointed_shard", fail_on_shard_1)
-    monkeypatch.setattr(BaseProcess, "start", counting_start)
-    with pytest.raises(RecoveryError) as excinfo:
-        run_sharded(workload, 2, config=CONFIG)
-    message = str(excinfo.value)
-    assert message.startswith("shard 1 worker raised:\nTraceback")
-    assert "RuntimeError: planted failure" in message
-    assert len(started) == 2
 
 
 @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
