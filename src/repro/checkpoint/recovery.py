@@ -185,9 +185,9 @@ def run_checkpointed_shard(
 ) -> Dict[str, Any]:
     """Run one shard's slice to completion; return its plain-dict outcome.
 
-    With *keep_items* the outcome holds the shard's results as
-    ``(values, ts)`` pairs and its output punctuations as ``(join
-    pattern, ts)`` pairs.  *governor* is this shard's own (already
+    The outcome holds the shard's output punctuations as ``(join
+    pattern, ts)`` pairs, and with *keep_items* its results as
+    ``(values, ts)`` pairs.  *governor* is this shard's own (already
     split) budget share.
 
     With *checkpoint_every* the slice runs in cover-aligned segments;
@@ -279,10 +279,10 @@ def run_checkpointed_shard(
         out_join_index = join.join_indices[0]
         if keep_items:
             acc["results"].extend((tup.values, tup.ts) for tup in sink.results)
-            acc["punctuations"].extend(
-                (punct.patterns[out_join_index], punct.ts)
-                for punct in sink.punctuations
-            )
+        acc["punctuations"].extend(
+            (punct.patterns[out_join_index], punct.ts)
+            for punct in sink.punctuations
+        )
         acc["result_count"] += sink.tuple_count
         acc["punctuation_count"] += sink.punctuation_count
         acc["events"] += plan.engine.events_executed

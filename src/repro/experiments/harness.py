@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -292,7 +291,7 @@ def run_join_experiment(
     horizon_factor:
         Metrics are pre-scheduled until ``end_time * horizon_factor`` so
         a saturated join that lags behind its inputs is still sampled;
-        trailing samples after completion are trimmed.
+        samples after the sink's end-of-stream record nothing.
     """
     if _RUN_INTERCEPTOR is not None:
         return _RUN_INTERCEPTOR(
@@ -350,6 +349,7 @@ def execute_join_experiment(
         )
     collector.register_gauge("output", lambda: sink.tuple_count)
     collector.register_gauge("punct_output", lambda: sink.punctuation_count)
+    collector.end_of_stream = lambda: sink.eos_time
     collector.start(horizon_ms=workload.end_time * horizon_factor + 1000.0)
     profiler = options.profiler
     if profiler is not None:
@@ -361,9 +361,6 @@ def execute_join_experiment(
             # Shared objects (the cost model, a tracer reused across
             # runs) must not carry timing shadows into later runs.
             profiler.restore()
-    series = {
-        name: _trim(ts, sink.eos_time) for name, ts in collector.series.items()
-    }
     run_label = label or type(join).__name__
     duration = sink.eos_time if sink.eos_time >= 0 else plan.engine.now
     # Composite joins (the sharded stack) expose their instrumented
@@ -375,7 +372,7 @@ def execute_join_experiment(
         sink,
         plan.engine,
         workload=workload,
-        series=series,
+        series=collector.series,
         duration_ms=duration,
         extra_operators=sub_operators() if sub_operators is not None else None,
     )
@@ -383,23 +380,12 @@ def execute_join_experiment(
         run_label,
         join,
         sink,
-        series,
+        collector.series,
         duration_ms=duration,
         manifest=manifest,
         tracer=tracer,
         profile=profiler.snapshot() if profiler is not None else None,
     )
-
-
-def _trim(series: TimeSeries, eos_time: float) -> TimeSeries:
-    """Drop samples after the join delivered end-of-stream."""
-    if eos_time < 0 or not series:
-        return series
-    end = bisect_right(series.times, eos_time)
-    trimmed = TimeSeries(name=series.name)
-    trimmed.times = series.times[:end]
-    trimmed.values = series.values[:end]
-    return trimmed
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,15 @@ Pins last for one item: :meth:`after_insert` releases them, and an item
 or background task that ends without an insert (a tuple dropped on the
 fly, a disk join, a clean-up join) calls :meth:`release_pins`.
 
-The bookkeeping does not grow with the bucket count.  Warm and cold
-sizes are counts the tables maintain, and LRU reads its victim off a
-touch order (each touch moves the bucket to the end; a demoted or
-emptied bucket leaves it).  The order is trusted only while every
-warm bucket was seen entering it: an insert without
-:meth:`after_insert` or a rebuilt table makes the next enforcement
-re-read the buckets, and a warm bucket that was never touched (which
-LRU ranks first) sends it back to the full scan.  The other policies
-score every warm bucket on each pass.
+An item pays for its bucket touches and the paging they cause, not
+for bookkeeping: touches are inline, sizes are counts the tables keep,
+and enforcement starts only over budget.  LRU reads its victim off a
+touch order (a touch moves the bucket to the end; a demoted or emptied
+bucket leaves it), trusted while every warm bucket was seen entering
+it: an insert without :meth:`after_insert` or a rebuilt table makes
+the next enforcement re-read the buckets, and a warm bucket never
+touched (LRU ranks it first) sends it to the full scan, which the
+other policies always use.
 
 Demotion never touches ``dts``: cold entries stay logically
 memory-resident for the joins' duplicate-prevention intervals, which is
@@ -46,9 +46,8 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.memory.budget import DEFAULT_BYTES_PER_TUPLE, format_budget
 from repro.memory.policies import LRU, Candidate, EvictionPolicy, make_policy
-from repro.obs.trace import get_tracer
 from repro.storage.disk import SimulatedDisk
-from repro.storage.hash_table import PartitionedHashTable
+from repro.storage.hash_table import PartitionedHashTable, stable_hash
 from repro.storage.partition import HybridPartition
 
 #: A pinned/recency token: (side key, bucket index).
@@ -163,14 +162,28 @@ class MemoryGovernor:
         if self.unlimited:
             return 0.0
         registration = self._by_key[key]
-        partition = registration.table.partition_for(join_value, hash_value)
-        return self._touch(registration, partition)
+        table = registration.table
+        if hash_value is None:
+            hash_value = stable_hash(join_value)
+        partition = table.partitions[table.partition_index_for(hash_value)]
+        if partition.cold_count:
+            return self._fault(registration, partition)
+        # Most probes find their bucket warm: _fault's touch, inline.
+        token = (key, partition.index)
+        self._clock += 1
+        self.recency[token] = self._clock
+        order = self._touch_order
+        if order is not None:
+            order.pop(token, None)
+            order[token] = None
+        self._pins.add(token)
+        return 0.0
 
     def fault_in_partition(self, key: Any, partition: HybridPartition) -> float:
         """Fault-in for callers that already hold the bucket object."""
         if self.unlimited:
             return 0.0
-        return self._touch(self._by_key[key], partition)
+        return self._fault(self._by_key[key], partition)
 
     def fault_in_all(self) -> float:
         """Promote every cold bucket (end-of-stream cleanup joins)."""
@@ -179,18 +192,19 @@ class MemoryGovernor:
         cost = 0.0
         for registration in self._sides:
             for partition in registration.table.partitions_with_cold():
-                cost += self._touch(registration, partition)
+                cost += self._fault(registration, partition)
         return cost
 
     def release_pins(self) -> None:
-        """End the in-flight item or background task without an insert.
-
-        The buckets it faulted in stop being shielded from eviction.
-        """
+        """End the in-flight item or task without an insert: unpin."""
         self._pins.clear()
 
-    def _stamp(self, token: Token) -> None:
-        """Record a touch: newest recency, end of the order, pinned."""
+    def _fault(
+        self, registration: SideRegistration, partition: HybridPartition
+    ) -> float:
+        """Touch a bucket (newest recency, end of the touch order,
+        pinned) and promote its cold entries, if any."""
+        token = (registration.key, partition.index)
         self._clock += 1
         self.recency[token] = self._clock
         order = self._touch_order
@@ -198,11 +212,6 @@ class MemoryGovernor:
             order.pop(token, None)
             order[token] = None
         self._pins.add(token)
-
-    def _touch(
-        self, registration: SideRegistration, partition: HybridPartition
-    ) -> float:
-        self._stamp((registration.key, partition.index))
         if not partition.cold_count:
             return 0.0
         moved = registration.table.promote_partition(partition)
@@ -210,7 +219,7 @@ class MemoryGovernor:
         self.tuples_faulted += moved
         cost = self.disk.read(moved) if self.disk is not None else 0.0
         self.fault_time_ms += cost
-        tracer = get_tracer(self.engine) if self.engine is not None else None
+        tracer = getattr(self.engine, "tracer", None)
         if tracer is not None:
             tracer.record(
                 self.engine.now, self.name, "governor_fault",
@@ -230,37 +239,61 @@ class MemoryGovernor:
         if self.unlimited:
             return 0.0
         registration = self._by_key[key]
-        partition = registration.table.partition_for(join_value, hash_value)
-        self._stamp((registration.key, partition.index))
+        table = registration.table
+        if hash_value is None:
+            hash_value = stable_hash(join_value)
+        token = (key, table.partition_index_for(hash_value))
+        self._clock += 1
+        self.recency[token] = self._clock
+        order = self._touch_order
+        if order is not None:
+            order.pop(token, None)
+            order[token] = None
         registration.inserted += 1
-        cost = self._enforce()
+        warm = 0
+        for side in self._sides:
+            warm += side.table.memory_count
+        cost = 0.0
+        if warm > self.budget_tuples:
+            self._pins.add(token)
+            cost = self._enforce(warm)
         self._pins.clear()
         return cost
 
-    def _enforce(self) -> float:
-        """Demote victims until the warm footprint fits the budget.
+    def _enforce(self, warm: Optional[int] = None) -> float:
+        """Demote victims until the warm total (*warm*) fits the budget.
 
-        Within one pass the warm total only falls, by each demotion's
-        moved count, and the tracer cannot change, so both are read
-        once.  A touch order found current stays current for the rest
-        of the pass: a demotion only takes its bucket out of it.
+        In one pass the warm total only falls, by each demotion's moved
+        count, and neither the tracer nor the touch order's currency
+        changes, so each is read once.  LRU's victim is a current
+        order's first warm, unpinned bucket; any other pick scans.
         """
-        warm = self.usage()
+        if warm is None:
+            warm = self.usage()
         budget = self.budget_tuples
         if warm <= budget:
             return 0.0
-        engine = self.engine
-        tracer = get_tracer(engine) if engine is not None else None
-        now = engine.now if engine is not None else 0.0
+        tracer = getattr(self.engine, "tracer", None)
+        disk = self.disk
         order = self._touch_order
-        current = False
+        lru = order if order is not None and self._order_is_current(order) else None
         cost = 0.0
         while warm > budget:
-            if order is not None and (current or self._order_is_current(order)):
-                current = True
-                choice = self._least_recent_unpinned(order)
-            else:
+            if lru is None:
                 choice = self._victim()
+            else:
+                choice = None
+                empty: List[Token] = []
+                for token in lru:
+                    registration = self._by_key[token[0]]
+                    partition = registration.table.partitions[token[1]]
+                    if not partition.memory_count:
+                        empty.append(token)
+                    elif token not in self._pins:
+                        choice = (registration, partition)
+                        break
+                for token in empty:
+                    del lru[token]
             if choice is None:
                 # Everything warm is pinned by the in-flight probe; the
                 # budget is temporarily exceeded rather than violated.
@@ -269,7 +302,7 @@ class MemoryGovernor:
             registration, victim = choice
             if tracer is not None:
                 tracer.begin(
-                    now, self.name, "governor_spill",
+                    self.engine.now, self.name, "governor_spill",
                     side=registration.key, partition=victim.index,
                     policy=self.policy_name,
                 )
@@ -277,13 +310,13 @@ class MemoryGovernor:
             warm -= moved
             if order is not None:
                 order.pop((registration.key, victim.index), None)
-            write_cost = self.disk.write(moved) if self.disk is not None else 0.0
+            write_cost = disk.write(moved) if disk is not None else 0.0
             self.spills += 1
             self.tuples_spilled += moved
             self.spill_time_ms += write_cost
             cost += write_cost
             if tracer is not None:
-                tracer.end(now, moved=moved, cost=write_cost)
+                tracer.end(self.engine.now, moved=moved, cost=write_cost)
         return cost
 
     def _victim(self) -> Optional[Candidate]:
@@ -295,15 +328,14 @@ class MemoryGovernor:
             if partition.memory_count > 0
             and (registration.key, partition.index) not in self._pins
         ]
-        if not candidates:
-            return None
-        return self.policy.select(candidates, self)
+        return self.policy.select(candidates, self) if candidates else None
 
     def _order_is_current(self, order: Dict[Token, None]) -> bool:
         """Does the touch order hold every warm bucket, oldest first?
 
         It does while every insert was followed by :meth:`after_insert`
-        and no table was rebuilt.
+        and no table was rebuilt; else it is rebuilt from recency, which
+        fails if a warm bucket was never touched (LRU ranks it first).
         """
         for registration in self._sides:
             table = registration.table
@@ -311,22 +343,15 @@ class MemoryGovernor:
                 registration.inserted != table.total_inserted
                 or registration.rebuilds != table.rebuilds
             ):
-                return self._reorder(order)
-        return True
-
-    def _reorder(self, order: Dict[Token, None]) -> bool:
-        """Rebuild the touch order from recency by reading every bucket.
-
-        Fails if a warm bucket was never touched: LRU ranks it first,
-        and only the full scan finds it.
-        """
-        recency = self.recency
+                break
+        else:
+            return True
         warm: List[Tuple[int, Token]] = []
         for registration in self._sides:
             for partition in registration.table.partitions:
                 if partition.memory_count:
                     token = (registration.key, partition.index)
-                    tick = recency.get(token)
+                    tick = self.recency.get(token)
                     if tick is None:
                         return False
                     warm.append((tick, token))
@@ -338,31 +363,6 @@ class MemoryGovernor:
             registration.inserted = registration.table.total_inserted
             registration.rebuilds = registration.table.rebuilds
         return True
-
-    def _least_recent_unpinned(
-        self, order: Dict[Token, None]
-    ) -> Optional[Candidate]:
-        """The oldest warm, unpinned bucket in the touch order.
-
-        Ticks are unique, so this is the bucket :class:`~repro.memory.
-        policies.LRUPolicy` picks from the full candidate list.  Buckets
-        found empty leave the order; a touch puts them back.
-        """
-        by_key = self._by_key
-        pins = self._pins
-        empty: List[Token] = []
-        victim: Optional[Candidate] = None
-        for token in order:
-            registration = by_key[token[0]]
-            partition = registration.table.partitions[token[1]]
-            if not partition.memory_count:
-                empty.append(token)
-            elif token not in pins:
-                victim = (registration, partition)
-                break
-        for token in empty:
-            del order[token]
-        return victim
 
     # ------------------------------------------------------------------
     # Observability

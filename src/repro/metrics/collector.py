@@ -1,14 +1,18 @@
 """The metrics sampler.
 
 Samples registered gauges at fixed virtual-time intervals on the shared
-simulation engine.  Sample events are pre-scheduled over a known
-horizon (workload end times are known up front), so the collector never
-keeps an otherwise-finished simulation alive.
+simulation engine.  Sample events are pre-scheduled up to a horizon
+fixed before the run (the harness takes the workload's end time times a
+factor, plus a second), so the engine runs until the last of them even
+when the plan finished long before.  A collector that can read the
+plan's end-of-stream time (:attr:`MetricsCollector.end_of_stream`)
+appends nothing after it: the later sample events still run, keeping
+the event count and the final clock, but read no gauge.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 from repro.errors import SimulationError
 from repro.metrics.series import TimeSeries
@@ -36,6 +40,9 @@ class MetricsCollector:
         self._gauges: Dict[str, Gauge] = {}
         self.series: Dict[str, TimeSeries] = {}
         self._started = False
+        # The end-of-stream time, negative until it is known; samples
+        # later than it append nothing.  The harness reads its sink's.
+        self.end_of_stream: Optional[Callable[[], float]] = None
 
     def register_gauge(self, name: str, gauge: Gauge) -> None:
         """Track ``gauge()`` under *name*; must precede :meth:`start`."""
@@ -65,6 +72,8 @@ class MetricsCollector:
 
     def _sample(self) -> None:
         now = self.engine.now
+        if self.end_of_stream is not None and 0.0 <= self.end_of_stream() < now:
+            return
         for name, gauge in self._gauges.items():
             self.series[name].append(now, float(gauge()))
 

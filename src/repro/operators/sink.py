@@ -25,11 +25,13 @@ class Sink(Operator):
     Parameters
     ----------
     keep_items:
-        When ``True`` (default) every received tuple and punctuation is
+        When ``True`` (default) every received result tuple is
         retained, which tests and examples rely on.  Long benchmark runs
-        can pass ``False`` to keep only counters and timings: such a
-        sink counts each :class:`~repro.tuples.batch.ResultBatch` by its
-        length and never builds a result tuple.
+        can pass ``False`` to keep only counts and timings: such a sink
+        counts each :class:`~repro.tuples.batch.ResultBatch` by its
+        length and never builds a result tuple.  Punctuations are kept
+        either way: there is one per propagated punctuation, not one per
+        result, and a sharded run's merge settles them.
     """
 
     # Zero-cost and terminal: a whole upstream outbox can be absorbed
@@ -74,8 +76,7 @@ class Sink(Operator):
                 self.results.append(item)
         elif isinstance(item, Punctuation):
             self.punctuation_arrival_times.append(now)
-            if self.keep_items:
-                self.punctuations.append(item)
+            self.punctuations.append(item)
         return 0.0
 
     def accept_batch(
@@ -89,7 +90,8 @@ class Sink(Operator):
         per-item ``with_ts`` restamp the upstream delivery loop applies
         (skipped when items are not kept: the copies were discarded).
         A result batch counts as its length; it is built into tuples,
-        stamped *now*, only when items are kept.  Returns
+        stamped *now*, only when items are kept.  Punctuations are
+        always kept, stamped *now*.  Returns
         ``(tuples, punctuations)`` so the upstream can update its own
         output counters.
         """
@@ -114,10 +116,9 @@ class Sink(Operator):
             elif isinstance(item, Punctuation):
                 n_puncts += 1
                 punct_times.append(now)
-                if keep:
-                    self.punctuations.append(
-                        item if item.ts == now else item.with_ts(now)
-                    )
+                self.punctuations.append(
+                    item if item.ts == now else item.with_ts(now)
+                )
         if n_tuples:
             self._record_tuples(now, n_tuples)
         self.tuples_in += n_tuples

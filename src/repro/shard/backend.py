@@ -491,8 +491,7 @@ def _run_rescaled(
     The first phase runs the prefix up to the cut on *n_shards* shards
     and keeps their final state; the second runs the migrated state and
     the suffix on ``rescale.n_after`` shards (see
-    :mod:`repro.checkpoint.rescale`).  Both phases keep their items,
-    because their output punctuations drive the ledger replay.
+    :mod:`repro.checkpoint.rescale`).
     """
     cut_ts = global_cut(workload, rescale.at_ts)
     prefix, suffix = split_schedules(workload, cut_ts)
@@ -500,7 +499,8 @@ def _run_rescaled(
     first = ShardedRunOutcome(
         plan,
         _run_in_process(
-            plan, config, governor, True, checkpoint_every, final_snapshot=True
+            plan, config, governor, keep_items, checkpoint_every,
+            final_snapshot=True,
         ),
     )
     suffix_workload, initial_states, counters = migrate(
@@ -510,15 +510,13 @@ def _run_rescaled(
     outcome = ShardedRunOutcome(
         plan,
         _run_in_process(
-            plan, config, governor, True, checkpoint_every,
+            plan, config, governor, keep_items, checkpoint_every,
             initial_states=initial_states,
         ),
         earlier=first,
     )
     for key, value in counters.items():
         outcome.counters[f"rescale.{key}"] = value
-    if not keep_items:
-        outcome.result_items = []
     return outcome
 
 

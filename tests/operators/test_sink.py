@@ -29,6 +29,15 @@ def test_keep_items_false_keeps_counts_only(engine, cheap_cost_model):
     assert sink.results == []
 
 
+def test_keep_items_false_still_keeps_punctuations(engine, cheap_cost_model):
+    sink = Sink(engine, cheap_cost_model, keep_items=False)
+    sink.push(Punctuation.on_field(SCHEMA, "key", 1))
+    sink.accept_batch([Punctuation.on_field(SCHEMA, "key", 2)], 3.0, 0)
+    engine.run()
+    assert sink.punctuation_count == 2
+    assert [p.ts for p in sink.punctuations] == [0.0, 3.0]
+
+
 def test_result_multiset_ignores_timestamps(engine, cheap_cost_model):
     sink = Sink(engine, cheap_cost_model)
     sink.push(Tuple(SCHEMA, (1,), ts=1.0))

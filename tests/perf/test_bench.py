@@ -126,8 +126,10 @@ class TestBenchCli:
     def test_writes_report_and_compares(self, tmp_path):
         out = tmp_path / "bench.json"
         baseline = tmp_path / "baseline.json"
+        # Best of 3 on both sides, as CI's quick gates time: one run
+        # each would gate a single wall-clock reading at 2x another.
         rc = bench_main([
-            "--cases", "chaos_disorder", "--out", str(out),
+            "--cases", "chaos_disorder", "--repeat", "3", "--out", str(out),
             "--baseline", str(baseline), "--update-baseline",
         ])
         assert rc == 0
@@ -140,7 +142,7 @@ class TestBenchCli:
         assert "comparison" not in baseline_report
         # Second run now compares against the captured baseline.
         rc = bench_main([
-            "--cases", "chaos_disorder", "--out", str(out),
+            "--cases", "chaos_disorder", "--repeat", "3", "--out", str(out),
             "--baseline", str(baseline),
         ])
         assert rc == 0

@@ -8,6 +8,7 @@ from repro.checkpoint.recovery import CrashSpec
 from repro.checkpoint.rescale import RescalePlan
 from repro.core.config import PJoinConfig
 from repro.errors import ConfigError, RecoveryError
+from repro.experiments.harness import pjoin_factory, run_join_experiment
 from repro.shard import backend
 from repro.shard.backend import fork_available, run_sharded
 from repro.workloads.generator import generate_workload
@@ -105,3 +106,18 @@ class TestInProcess:
         assert forked.result_multiset() == in_process.result_multiset()
         assert forked.punctuation_multiset() == in_process.punctuation_multiset()
         assert forked.counters == in_process.counters
+
+
+def test_punctuations_do_not_depend_on_kept_items():
+    """Shard sinks keep every output punctuation, so a run without kept
+    result items merges the same punctuations as one with them."""
+    workload = generate_workload(n_tuples_per_stream=400, seed=42)
+    plain = run_sharded(workload, 2, config=CONFIG, keep_items=False)
+    kept = run_sharded(workload, 2, config=CONFIG, keep_items=True)
+    unsharded = run_join_experiment(pjoin_factory(CONFIG), workload)
+    assert plain.result_items == []
+    assert plain.results == kept.results == unsharded.results
+    assert kept.punctuations_out > 0
+    assert plain.punctuations_out == kept.punctuations_out
+    assert plain.punctuations_out == unsharded.punctuations_out
+    assert plain.punctuation_multiset() == kept.punctuation_multiset()
