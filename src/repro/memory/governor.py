@@ -22,14 +22,14 @@ or background task that ends without an insert (a tuple dropped on the
 fly, a disk join, a clean-up join) calls :meth:`release_pins`.
 
 An item pays for its bucket touches and the paging they cause, not
-for bookkeeping: touches are inline, sizes are counts the tables keep,
-and enforcement starts only over budget.  LRU reads its victim off a
-touch order (a touch moves the bucket to the end; a demoted or emptied
-bucket leaves it), trusted while every warm bucket was seen entering
-it: an insert without :meth:`after_insert` or a rebuilt table makes
-the next enforcement re-read the buckets, and a warm bucket never
-touched (LRU ranks it first) sends it to the full scan, which the
-other policies always use.
+for bookkeeping: sizes are counts the tables keep, and enforcement
+starts only over budget.  LRU reads its victim off a touch order (a
+touch moves the bucket to the end; a demoted or emptied bucket leaves
+it), trusted while every warm bucket was seen entering it: an insert
+without :meth:`after_insert` or a rebuilt table makes the next
+enforcement re-read the buckets, and a warm bucket never touched (LRU
+ranks it first) sends it to the full scan, which the other policies
+always use.
 
 Demotion never touches ``dts``: cold entries stay logically
 memory-resident for the joins' duplicate-prevention intervals, which is
@@ -46,6 +46,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.memory.budget import DEFAULT_BYTES_PER_TUPLE, format_budget
 from repro.memory.policies import LRU, Candidate, EvictionPolicy, make_policy
+from repro.obs.trace import get_tracer
 from repro.storage.disk import SimulatedDisk
 from repro.storage.hash_table import PartitionedHashTable, stable_hash
 from repro.storage.partition import HybridPartition
@@ -142,7 +143,10 @@ class MemoryGovernor:
 
     def usage(self) -> int:
         """Warm (memory-dict) tuples across every governed side."""
-        return sum(reg.table.memory_count for reg in self._sides)
+        warm = 0
+        for registration in self._sides:
+            warm += registration.table.memory_count
+        return warm
 
     def cold_size(self) -> int:
         """Governor-demoted tuples across every governed side."""
@@ -165,25 +169,15 @@ class MemoryGovernor:
         table = registration.table
         if hash_value is None:
             hash_value = stable_hash(join_value)
-        partition = table.partitions[table.partition_index_for(hash_value)]
-        if partition.cold_count:
-            return self._fault(registration, partition)
-        # Most probes find their bucket warm: _fault's touch, inline.
-        token = (key, partition.index)
-        self._clock += 1
-        self.recency[token] = self._clock
-        order = self._touch_order
-        if order is not None:
-            order.pop(token, None)
-            order[token] = None
-        self._pins.add(token)
-        return 0.0
+        return self._touch(
+            registration, table.partitions[table.partition_index_for(hash_value)]
+        )
 
     def fault_in_partition(self, key: Any, partition: HybridPartition) -> float:
         """Fault-in for callers that already hold the bucket object."""
         if self.unlimited:
             return 0.0
-        return self._fault(self._by_key[key], partition)
+        return self._touch(self._by_key[key], partition)
 
     def fault_in_all(self) -> float:
         """Promote every cold bucket (end-of-stream cleanup joins)."""
@@ -192,19 +186,18 @@ class MemoryGovernor:
         cost = 0.0
         for registration in self._sides:
             for partition in registration.table.partitions_with_cold():
-                cost += self._fault(registration, partition)
+                cost += self._touch(registration, partition)
         return cost
 
     def release_pins(self) -> None:
-        """End the in-flight item or task without an insert: unpin."""
+        """End the in-flight item or background task without an insert.
+
+        The buckets it faulted in stop being shielded from eviction.
+        """
         self._pins.clear()
 
-    def _fault(
-        self, registration: SideRegistration, partition: HybridPartition
-    ) -> float:
-        """Touch a bucket (newest recency, end of the touch order,
-        pinned) and promote its cold entries, if any."""
-        token = (registration.key, partition.index)
+    def _stamp(self, token: Token) -> None:
+        """Record a touch: newest recency, end of the order, pinned."""
         self._clock += 1
         self.recency[token] = self._clock
         order = self._touch_order
@@ -212,6 +205,11 @@ class MemoryGovernor:
             order.pop(token, None)
             order[token] = None
         self._pins.add(token)
+
+    def _touch(
+        self, registration: SideRegistration, partition: HybridPartition
+    ) -> float:
+        self._stamp((registration.key, partition.index))
         if not partition.cold_count:
             return 0.0
         moved = registration.table.promote_partition(partition)
@@ -219,7 +217,7 @@ class MemoryGovernor:
         self.tuples_faulted += moved
         cost = self.disk.read(moved) if self.disk is not None else 0.0
         self.fault_time_ms += cost
-        tracer = getattr(self.engine, "tracer", None)
+        tracer = get_tracer(self.engine) if self.engine is not None else None
         if tracer is not None:
             tracer.record(
                 self.engine.now, self.name, "governor_fault",
@@ -242,21 +240,10 @@ class MemoryGovernor:
         table = registration.table
         if hash_value is None:
             hash_value = stable_hash(join_value)
-        token = (key, table.partition_index_for(hash_value))
-        self._clock += 1
-        self.recency[token] = self._clock
-        order = self._touch_order
-        if order is not None:
-            order.pop(token, None)
-            order[token] = None
+        self._stamp((key, table.partition_index_for(hash_value)))
         registration.inserted += 1
-        warm = 0
-        for side in self._sides:
-            warm += side.table.memory_count
-        cost = 0.0
-        if warm > self.budget_tuples:
-            self._pins.add(token)
-            cost = self._enforce(warm)
+        warm = self.usage()
+        cost = self._enforce(warm) if warm > self.budget_tuples else 0.0
         self._pins.clear()
         return cost
 
@@ -264,17 +251,21 @@ class MemoryGovernor:
         """Demote victims until the warm total (*warm*) fits the budget.
 
         In one pass the warm total only falls, by each demotion's moved
-        count, and neither the tracer nor the touch order's currency
-        changes, so each is read once.  LRU's victim is a current
-        order's first warm, unpinned bucket; any other pick scans.
+        count, and the tracer cannot change, so both are read once.  So
+        is whether the touch order can be used: LRU's victim is a
+        current order's first warm, unpinned bucket, and a pass that
+        finds the order unusable (a warm bucket was never touched) scans
+        for every victim, as the other policies always do; the next pass
+        tries the order again.
         """
         if warm is None:
             warm = self.usage()
         budget = self.budget_tuples
         if warm <= budget:
             return 0.0
-        tracer = getattr(self.engine, "tracer", None)
-        disk = self.disk
+        engine = self.engine
+        tracer = get_tracer(engine) if engine is not None else None
+        now = engine.now if engine is not None else 0.0
         order = self._touch_order
         lru = order if order is not None and self._order_is_current(order) else None
         cost = 0.0
@@ -302,7 +293,7 @@ class MemoryGovernor:
             registration, victim = choice
             if tracer is not None:
                 tracer.begin(
-                    self.engine.now, self.name, "governor_spill",
+                    now, self.name, "governor_spill",
                     side=registration.key, partition=victim.index,
                     policy=self.policy_name,
                 )
@@ -310,13 +301,13 @@ class MemoryGovernor:
             warm -= moved
             if order is not None:
                 order.pop((registration.key, victim.index), None)
-            write_cost = disk.write(moved) if disk is not None else 0.0
+            write_cost = self.disk.write(moved) if self.disk is not None else 0.0
             self.spills += 1
             self.tuples_spilled += moved
             self.spill_time_ms += write_cost
             cost += write_cost
             if tracer is not None:
-                tracer.end(self.engine.now, moved=moved, cost=write_cost)
+                tracer.end(now, moved=moved, cost=write_cost)
         return cost
 
     def _victim(self) -> Optional[Candidate]:
@@ -328,14 +319,15 @@ class MemoryGovernor:
             if partition.memory_count > 0
             and (registration.key, partition.index) not in self._pins
         ]
-        return self.policy.select(candidates, self) if candidates else None
+        if not candidates:
+            return None
+        return self.policy.select(candidates, self)
 
     def _order_is_current(self, order: Dict[Token, None]) -> bool:
         """Does the touch order hold every warm bucket, oldest first?
 
         It does while every insert was followed by :meth:`after_insert`
-        and no table was rebuilt; else it is rebuilt from recency, which
-        fails if a warm bucket was never touched (LRU ranks it first).
+        and no table was rebuilt.
         """
         for registration in self._sides:
             table = registration.table
@@ -343,15 +335,22 @@ class MemoryGovernor:
                 registration.inserted != table.total_inserted
                 or registration.rebuilds != table.rebuilds
             ):
-                break
-        else:
-            return True
+                return self._reorder(order)
+        return True
+
+    def _reorder(self, order: Dict[Token, None]) -> bool:
+        """Rebuild the touch order from recency by reading every bucket.
+
+        Fails if a warm bucket was never touched: LRU ranks it first,
+        and only the full scan finds it.
+        """
+        recency = self.recency
         warm: List[Tuple[int, Token]] = []
         for registration in self._sides:
             for partition in registration.table.partitions:
                 if partition.memory_count:
                     token = (registration.key, partition.index)
-                    tick = self.recency.get(token)
+                    tick = recency.get(token)
                     if tick is None:
                         return False
                     warm.append((tick, token))

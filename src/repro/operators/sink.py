@@ -87,13 +87,13 @@ class Sink(Operator):
         Emulates exactly what one ``push`` per result and punctuation
         would do — handling is zero-cost, so each push would drain
         immediately with a queue length of one — including the
-        per-item ``with_ts`` restamp the upstream delivery loop applies
-        (skipped when items are not kept: the copies were discarded).
-        A result batch counts as its length; it is built into tuples,
-        stamped *now*, only when items are kept.  Punctuations are
-        always kept, stamped *now*.  Returns
-        ``(tuples, punctuations)`` so the upstream can update its own
-        output counters.
+        per-item ``with_ts`` restamp the upstream delivery loop applies.
+        Result tuples skip the restamp when items are not kept (the
+        copies were discarded); punctuations are always kept, so they
+        are always restamped.  A result batch counts as its length; it
+        is built into tuples, stamped *now*, only when items are kept.
+        Returns ``(tuples, punctuations)`` so the upstream can update
+        its own output counters.
         """
         n_tuples = 0
         n_puncts = 0

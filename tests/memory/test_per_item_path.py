@@ -1,23 +1,19 @@
 """A governed tuple pays for its bucket touches and paging, not bookkeeping.
 
-The governor's two per-item hooks stamp their bucket inline, sum the
-warm total in a plain loop and enforce only over budget.  A governed
-XJoin run (LRU, a budget of 1/16 of a stream, tracing off) therefore
-calls ``MemoryGovernor.usage`` nowhere, and no ``get_tracer`` lookup
-happens while ``fault_in`` or ``after_insert`` runs, though the
-governor spills and faults throughout.
+After each insert the governor sums the warm total and starts an
+enforcement pass only when that total exceeds the budget, and it reads
+the tracer once per fault or pass, not once per item.  A governed XJoin
+run (LRU, a budget of 1/16 of a stream, tracing off) shows both while
+the governor spills and faults throughout.
 """
 
-import sys
-
 from repro.experiments.harness import run_join_experiment, run_options, xjoin_factory
+from repro.memory import governor as governor_module
 from repro.memory.budget import GovernorSpec
 from repro.memory.governor import MemoryGovernor
-from repro.obs import trace
 from repro.workloads import generate_workload
 
 TUPLES = 300
-HOOKS = ("fault_in", "after_insert")
 
 
 def governed_xjoin_run():
@@ -26,47 +22,29 @@ def governed_xjoin_run():
         return run_join_experiment(xjoin_factory(), workload)
 
 
-def test_governed_run_makes_no_bookkeeping_calls(monkeypatch):
-    calls = []
-    depth = [0]  # > 0 while a per-item hook runs
+def test_governed_run_enforces_only_over_budget(monkeypatch):
+    over_budget = []  # one entry per enforcement pass: did it start over?
+    enforce = vars(MemoryGovernor)["_enforce"]
 
-    for name in HOOKS:
-        method = vars(MemoryGovernor)[name]
+    def counted_enforce(self, *args):
+        over_budget.append(self.usage() > self.budget_tuples)
+        return enforce(self, *args)
 
-        def hook(self, *args, _method=method):
-            depth[0] += 1
-            try:
-                return _method(self, *args)
-            finally:
-                depth[0] -= 1
+    monkeypatch.setattr(MemoryGovernor, "_enforce", counted_enforce)
 
-        monkeypatch.setattr(MemoryGovernor, name, hook)
-
-    usage = vars(MemoryGovernor)["usage"]
-
-    def counted_usage(self):
-        calls.append("MemoryGovernor.usage")
-        return usage(self)
-
-    monkeypatch.setattr(MemoryGovernor, "usage", counted_usage)
-
-    get_tracer = trace.get_tracer
+    lookups = [0]
+    get_tracer = governor_module.get_tracer
 
     def counted_get_tracer(engine):
-        if depth[0]:
-            calls.append("get_tracer")
+        lookups[0] += 1
         return get_tracer(engine)
 
-    # Each module that imported the lookup holds its own name for it.
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("repro") and (
-            vars(module).get("get_tracer") is get_tracer
-        ):
-            monkeypatch.setattr(module, "get_tracer", counted_get_tracer)
+    monkeypatch.setattr(governor_module, "get_tracer", counted_get_tracer)
 
     run = governed_xjoin_run()
     governor = run.join.governor
     assert governor.policy_name == "lru"
     assert governor.spills > 0
     assert governor.faults > 0
-    assert calls == []
+    assert over_budget and all(over_budget)
+    assert lookups[0] <= governor.faults + len(over_budget)
