@@ -28,7 +28,7 @@ from repro.planner.spec import (
     validate_order,
 )
 from repro.planner.stats import StatsCollector, StreamStats
-from repro.planner.cost import CandidateCost, PlannerCostModel, StageCost
+from repro.planner.cost import CandidateCost, PlannerCostModel
 from repro.planner.plans import (
     EXHAUSTIVE_LIMIT,
     PlanChoice,
@@ -49,7 +49,6 @@ __all__ = [
     "StatsCollector",
     "PlannerCostModel",
     "CandidateCost",
-    "StageCost",
     "EXHAUSTIVE_LIMIT",
     "candidate_orders",
     "greedy_order",

@@ -19,14 +19,16 @@ simulator charges (:class:`repro.sim.costs.CostModel`):
 * a fully-matched pipeline pays ``emit_result`` per output combination.
 
 Total plan cost = sum over arriving sides of (arrival rate x per-tuple
-pipeline cost).  The breakdown is kept per candidate and per stage so
-``repro plan --explain`` can show *why* an order won.
+pipeline cost); a candidate keeps its total and each side's share.  One
+scoring pass computes each side's terms and each distinct (arriving
+side, probe order) pipeline once, in the float expressions and order
+of scoring one order alone, so a total is the same float in any pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.planner.stats import StreamStats
 from repro.sim.costs import CostModel
@@ -40,24 +42,12 @@ MAX_PUNCT_DISCOUNT = 0.9
 
 
 @dataclass(frozen=True)
-class StageCost:
-    """One probe stage of one arriving side's pipeline."""
-
-    target: int           # side being probed
-    reach: float          # P(pipeline reaches this stage)
-    occupancy: float      # expected resident tuples scanned
-    discount: float       # punctuation-driven occupancy discount [0, 1)
-    cost: float           # expected virtual ms for this stage (per tuple)
-
-
-@dataclass(frozen=True)
 class CandidateCost:
-    """Full cost breakdown of one candidate order."""
+    """One candidate order's score."""
 
     order: Tuple[int, ...]
     total: float                        # virtual ms of probe work per ms
     per_side: Tuple[float, ...]         # cost contributed by each arriving side
-    stages: Tuple[Tuple[StageCost, ...], ...]  # per arriving side
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -123,35 +113,73 @@ class PlannerCostModel:
             base = stats.state_size
         return base * (1.0 - self.discount(stats)) ** (stage + 1)
 
+    def _pipeline_cost(
+        self, stats: Sequence[StreamStats]
+    ) -> Callable[[Sequence[int]], float]:
+        """Per-tuple cost of a probe order under *stats*.
+
+        Each side's terms (discount, base occupancy, capped hit rate,
+        mean matches) are computed once, up front; the expressions and
+        their order are :meth:`effective_occupancy`'s and the pipeline
+        walk's, so every cost is the same float either way.
+        """
+        occupancy = []
+        for side_stats in stats:
+            base = side_stats.avg_occupancy
+            if base <= _EPS:
+                base = side_stats.state_size
+            keep = 1.0 - self.discount(side_stats)
+            occupancy.append([base * keep**depth for depth in range(1, len(stats))])
+        hit_rate = [min(1.0, side_stats.hit_rate) for side_stats in stats]
+        matches = [side_stats.avg_matches for side_stats in stats]
+
+        def pipeline(probe_order: Sequence[int]) -> float:
+            reach = 1.0
+            total = 0.0
+            expected_results = 1.0
+            for stage, target in enumerate(probe_order):
+                total += reach * self.probe_per_tuple * occupancy[target][stage]
+                reach *= hit_rate[target]
+                expected_results *= matches[target]
+            return total + reach * self.emit_result * expected_results
+
+        return pipeline
+
     def pipeline_cost(
         self,
         arriving: StreamStats,
         probe_order: Sequence[int],
         stats: Sequence[StreamStats],
-    ) -> Tuple[float, Tuple[StageCost, ...]]:
+    ) -> float:
         """Expected virtual ms one arriving tuple spends probing."""
-        reach = 1.0
-        total = 0.0
-        expected_results = 1.0
-        stages: List[StageCost] = []
-        for stage, target in enumerate(probe_order):
-            other = stats[target]
-            occ = self.effective_occupancy(other, stage)
-            cost = reach * self.probe_per_tuple * occ
-            stages.append(
-                StageCost(
-                    target=target,
-                    reach=reach,
-                    occupancy=occ,
-                    discount=self.discount(other),
-                    cost=cost,
-                )
-            )
-            total += cost
-            reach *= min(1.0, other.hit_rate)
-            expected_results *= other.avg_matches
-        total += reach * self.emit_result * expected_results
-        return total, tuple(stages)
+        return self._pipeline_cost(stats)(probe_order)
+
+    def score(
+        self,
+        orders: Sequence[Sequence[int]],
+        stats: Sequence[StreamStats],
+    ) -> List[CandidateCost]:
+        """Score permutations of the sides against the latest stats, in one pass."""
+        pipeline = self._pipeline_cost(stats)
+        pipelines: List[Dict[Tuple[int, ...], float]] = [{} for _ in stats]
+        scored = []
+        for candidate in orders:
+            order = tuple(candidate)
+            per_side = [0.0] * len(stats)
+            for position, side in enumerate(order):
+                # A tuple arriving on *side* probes the others in order.
+                probe_order = order[:position] + order[position + 1:]
+                per_tuple = pipelines[side].get(probe_order)
+                if per_tuple is None:
+                    per_tuple = pipelines[side][probe_order] = pipeline(probe_order)
+                per_side[side] = stats[side].arrival_rate * per_tuple
+            # Summed in side order by hand: sum() rounds differently on
+            # Python 3.12+, and one ulp can flip a tie or a switch.
+            total = 0.0
+            for contribution in per_side:
+                total += contribution
+            scored.append(CandidateCost(order, total, tuple(per_side)))
+        return scored
 
     def plan_cost(
         self,
@@ -159,23 +187,7 @@ class PlannerCostModel:
         stats: Sequence[StreamStats],
     ) -> CandidateCost:
         """Score one global priority order against the latest stats."""
-        order = tuple(order)
-        per_side: List[float] = []
-        all_stages: List[Tuple[StageCost, ...]] = []
-        total = 0.0
-        for side, side_stats in enumerate(stats):
-            probe_order = tuple(o for o in order if o != side)
-            per_tuple, stages = self.pipeline_cost(side_stats, probe_order, stats)
-            contribution = side_stats.arrival_rate * per_tuple
-            per_side.append(contribution)
-            all_stages.append(stages)
-            total += contribution
-        return CandidateCost(
-            order=order,
-            total=total,
-            per_side=tuple(per_side),
-            stages=tuple(all_stages),
-        )
+        return self.score([order], stats)[0]
 
     def planning_cost(self, n_candidates: int) -> float:
         """Virtual ms charged for evaluating *n* candidates."""

@@ -149,7 +149,7 @@ def choose_plan(
         cost_model = PlannerCostModel()
     n = len(stats)
     orders = candidate_orders(n, stats, cost_model, current)
-    scored = [cost_model.plan_cost(order, stats) for order in orders]
+    scored = cost_model.score(orders, stats)
     scored.sort(key=lambda cand: (cand.total, cand.order))
     return PlanChoice(
         order=scored[0].order,

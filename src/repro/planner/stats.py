@@ -27,7 +27,7 @@ the cost model scores:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 _EPS = 1e-12
 
@@ -42,6 +42,7 @@ SIDE_COUNTER_KEYS = (
     "probe_occupancy",
     "punct_count",
 )
+_ZEROS = (0.0,) * len(SIDE_COUNTER_KEYS)
 
 
 @dataclass(frozen=True)
@@ -70,15 +71,6 @@ class StreamStats:
         }
 
 
-def _side_counters(registry: Dict[str, float], name: str) -> Dict[str, float]:
-    prefix = f"side.{name}."
-    return {
-        key[len(prefix):]: float(value)
-        for key, value in registry.items()
-        if key.startswith(prefix)
-    }
-
-
 def _ratio(num: float, den: float, fallback: float = 0.0) -> float:
     if den <= _EPS:
         return fallback
@@ -96,9 +88,16 @@ class StatsCollector:
     def __init__(self, join: Any, smoothing: float = 0.5) -> None:
         self.join = join
         self.smoothing = smoothing
+        # A join's sides are fixed when it is built, and so are the
+        # registry keys of their counters.
+        self._names = [side.side_name for side in join.sides]
+        self._keys = [
+            [f"side.{name}.{key}" for key in SIDE_COUNTER_KEYS]
+            for name in self._names
+        ]
         self._prev_time: float = 0.0
-        self._prev_cum: Optional[List[Dict[str, float]]] = None
-        self._rates: Optional[List[Dict[str, float]]] = None
+        self._prev_cum: Optional[List[Tuple[float, ...]]] = None
+        self._rates: Optional[List[Tuple[float, float]]] = None
         self._last: Optional[List[StreamStats]] = None
         self.collections = 0
 
@@ -108,59 +107,53 @@ class StatsCollector:
         if now is None:
             now = join.engine.now
         registry = join.counters()
-        names = [side.side_name for side in join.sides]
-        cum = [_side_counters(registry, name) for name in names]
         dt = now - self._prev_time
         if self._prev_cum is not None and dt <= _EPS and self._last is not None:
             return self._last  # zero-width window: keep the last stats
+        # Each side's SIDE_COUNTER_KEYS, in order; a missing one reads 0.
+        cum = [
+            tuple([float(registry.get(key, 0.0)) for key in keys])
+            for keys in self._keys
+        ]
+        prev_cum = self._prev_cum or [_ZEROS] * len(cum)
         stats: List[StreamStats] = []
-        new_rates: List[Dict[str, float]] = []
+        new_rates: List[Tuple[float, float]] = []
         purge_lag = now - float(getattr(join, "last_purge_ms", 0.0))
-        for side, (name, current) in enumerate(zip(names, cum)):
-            prev = (
-                self._prev_cum[side]
-                if self._prev_cum is not None
-                else {key: 0.0 for key in current}
-            )
-            delta = {
-                key: current.get(key, 0.0) - prev.get(key, 0.0)
-                for key in SIDE_COUNTER_KEYS
-            }
-            window = {
-                "arrival_rate": _ratio(delta["tuples_in"], dt),
-                "punct_rate": _ratio(delta["punct_count"], dt),
-            }
+        alpha = self.smoothing
+        for side, (name, current, prev) in enumerate(
+            zip(self._names, cum, prev_cum)
+        ):
+            (state_size, tuples_in, probes, hits, matches, occupancy,
+             puncts) = current
+            (_, tuples_in_0, probes_0, hits_0, matches_0, occupancy_0,
+             puncts_0) = prev
+            arrival_rate = _ratio(tuples_in - tuples_in_0, dt)
+            punct_rate = _ratio(puncts - puncts_0, dt)
             if self._rates is not None:
-                alpha = self.smoothing
-                old = self._rates[side]
-                window = {
-                    key: alpha * value + (1.0 - alpha) * old[key]
-                    for key, value in window.items()
-                }
-            new_rates.append(window)
+                old_arrival, old_punct = self._rates[side]
+                arrival_rate = alpha * arrival_rate + (1.0 - alpha) * old_arrival
+                punct_rate = alpha * punct_rate + (1.0 - alpha) * old_punct
+            new_rates.append((arrival_rate, punct_rate))
             # Ratios prefer the window; a window without probes falls
             # back to the cumulative ratios (better than pretending 0).
-            probes_w = delta["probe_count"]
-            probes_c = current.get("probe_count", 0.0)
+            probes_w = probes - probes_0
             hit_rate = _ratio(
-                delta["probe_hits"], probes_w,
-                fallback=_ratio(current.get("probe_hits", 0.0), probes_c),
+                hits - hits_0, probes_w, fallback=_ratio(hits, probes)
             )
             avg_matches = _ratio(
-                delta["match_count"], probes_w,
-                fallback=_ratio(current.get("match_count", 0.0), probes_c),
+                matches - matches_0, probes_w, fallback=_ratio(matches, probes)
             )
             avg_occupancy = _ratio(
-                delta["probe_occupancy"], probes_w,
-                fallback=_ratio(current.get("probe_occupancy", 0.0), probes_c),
+                occupancy - occupancy_0, probes_w,
+                fallback=_ratio(occupancy, probes),
             )
             stats.append(
                 StreamStats(
                     side=side,
                     name=name,
-                    state_size=current.get("state_size", 0.0),
-                    arrival_rate=window["arrival_rate"],
-                    punct_rate=window["punct_rate"],
+                    state_size=state_size,
+                    arrival_rate=arrival_rate,
+                    punct_rate=punct_rate,
                     hit_rate=min(1.0, hit_rate),
                     avg_matches=avg_matches,
                     avg_occupancy=avg_occupancy,
