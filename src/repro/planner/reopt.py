@@ -109,11 +109,10 @@ class Reoptimizer:
         current = tuple(join.stream_order)
         choice = choose_plan(stats, self.cost_model, current=current)
         incumbent = choice.candidate_for(current)
-        current_cost = (
-            incumbent.total
-            if incumbent is not None
-            else self.cost_model.plan_cost(current, stats).total
-        )
+        # candidate_orders scores every permutation up to
+        # EXHAUSTIVE_LIMIT streams and appends the incumbent beyond.
+        assert incumbent is not None
+        current_cost = incumbent.total
         delta = current_cost - choice.cost
         threshold = self.spec.hysteresis * max(current_cost, _EPS)
         switched = choice.order != current and delta > threshold

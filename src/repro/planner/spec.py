@@ -96,11 +96,6 @@ class PlannerSpec:
     def with_overrides(self, **overrides: Any) -> "PlannerSpec":
         return replace(self, **overrides)
 
-    @classmethod
-    def parse(cls, text: str) -> "PlannerSpec":
-        """Build a spec from a CLI token (``static`` / ``adaptive``)."""
-        return cls(mode=text)
-
 
 def validate_order(order: Sequence[int], n: int) -> Tuple[int, ...]:
     """Check *order* is a permutation of ``range(n)`` and return it."""
