@@ -118,18 +118,15 @@ class PlannerCostModel:
     ) -> Callable[[Sequence[int]], float]:
         """Per-tuple cost of a probe order under *stats*.
 
-        Each side's terms (discount, base occupancy, capped hit rate,
-        mean matches) are computed once, up front; the expressions and
-        their order are :meth:`effective_occupancy`'s and the pipeline
-        walk's, so every cost is the same float either way.
+        Each side's occupancy at every stage, capped hit rate and mean
+        matches are computed once, up front, so pipelines that share
+        them cost no more of those calls.
         """
-        occupancy = []
-        for side_stats in stats:
-            base = side_stats.avg_occupancy
-            if base <= _EPS:
-                base = side_stats.state_size
-            keep = 1.0 - self.discount(side_stats)
-            occupancy.append([base * keep**depth for depth in range(1, len(stats))])
+        stages = range(len(stats) - 1)
+        occupancy = [
+            [self.effective_occupancy(side_stats, stage) for stage in stages]
+            for side_stats in stats
+        ]
         hit_rate = [min(1.0, side_stats.hit_rate) for side_stats in stats]
         matches = [side_stats.avg_matches for side_stats in stats]
 
